@@ -1,0 +1,5 @@
+"""CDC benchmark for etl_ray: workloads, DuckDB oracle and layer tracing.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see NOTES.md.
+"""
