@@ -51,8 +51,6 @@ def _config(args):
             kw[name] = v
     if getattr(args, "exchange_root", None):
         kw["exchange_root"] = args.exchange_root
-    if getattr(args, "use_actor_pool", False):
-        kw["use_actor_pool"] = True
     return EngineConfig(**kw)
 
 
@@ -73,8 +71,6 @@ def main(argv=None) -> int:
         sp.add_argument("--skip-count", type=int, default=None,
                         dest="skip_count")
         sp.add_argument("--exchange-root", default=None, dest="exchange_root")
-        sp.add_argument("--use-actor-pool", action="store_true",
-                        dest="use_actor_pool")
 
     sp = sub.add_parser("replay", help="apply unapplied WAL segments")
     sp.add_argument("--wal", required=True)

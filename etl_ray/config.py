@@ -258,7 +258,8 @@ class EngineConfig:
     max_salt: int = 8
     salt_threshold: int = 250_000
     batch_size: int = 8192
-    apply_concurrency: Optional[int] = None  # None → let Ray pick task pool
+    # cap on commit-stage tasks in flight; None → twice the cluster CPUs
+    apply_concurrency: Optional[int] = None
     compact_min_deltas: int = 4
     # above this input size, compaction switches to the bounded-memory
     # range-sliced streaming sort-merge (stages/streaming_merge.py)
@@ -320,13 +321,6 @@ class EngineConfig:
     # fragments are transient (deleted after commit), so RAM-backed tmpfs is
     # the in-memory-shuffle analog and skips a disk round-trip.
     exchange_root: Optional[str] = None
-    # The stateful stages (apply / merge-read / compact) are callable CLASSES
-    # (the actor-pool map_batches pattern). True runs them as a Ray actor
-    # pool — right when per-worker state is expensive (models, big dicts).
-    # False ships a constructed instance to a task pool: same code, no
-    # per-execution actor spawn (measured ~8 s per commit for a 30-actor
-    # pool — pure overhead when the state is a path + schema).
-    use_actor_pool: bool = False
     payload: PayloadSpec = field(default_factory=TokensPayload)
     # partition fn: fn(doc_id_array, P) -> np.ndarray[int64]
     part_fn: Callable = hashed_part

@@ -167,40 +167,29 @@ def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
             )
         return batch.append_column("__part", pa.array(part))
 
-    class WriteBase:
-        def __init__(self, lake_dir: str):
-            self.lake_dir = lake_dir
+    def write_base(group: pa.Table) -> pa.Table:
+        part = group["__part"][0].as_py()
+        out = group.drop_columns(["__part"]).sort_by(
+            [("doc_id", "ascending")])
+        rel = os.path.join(f"part={part}", f"base-g1-p{part}.parquet")
+        path = os.path.join(lake_dir, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = path + ".tmp"
+        pq.write_table(out, tmp)
+        os.replace(tmp, path)
+        return pa.table(
+            {"part": [part], "rows": [len(out)], "file": [rel],
+             "max_seq": [-1]}
+        )
 
-        def __call__(self, group: pa.Table) -> pa.Table:
-            part = group["__part"][0].as_py()
-            out = group.drop_columns(["__part"]).sort_by(
-                [("doc_id", "ascending")])
-            rel = os.path.join(f"part={part}", f"base-g1-p{part}.parquet")
-            path = os.path.join(self.lake_dir, rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + ".tmp"
-            pq.write_table(out, tmp)
-            os.replace(tmp, path)
-            return pa.table(
-                {"part": [part], "rows": [len(out)], "file": [rel],
-                 "max_seq": [-1]}
-            )
-
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4))
     ds = rd.read_parquet(base_path).map_batches(
         assign, batch_format="pyarrow", batch_size=cfg.batch_size
     )
+    # a plain function runs as a task pool: it holds no CPUs while the
+    # groupby's sort runs (a fixed actor pool did, and hung at 1-2 CPUs)
     stats = (
         ds.groupby("__part")
-        .map_groups(
-            WriteBase,
-            fn_constructor_args=(lake_dir,),
-            batch_format="pyarrow",
-            concurrency=max(2, cpus - 2),
-            num_cpus=1,
-        )
+        .map_groups(write_base, batch_format="pyarrow")
         .to_pandas()
     )
     schema = pq.read_schema(base_path)

@@ -367,8 +367,8 @@ def minhash_lsh_candidates(ds, *, num_perm: int = 64, bands: int = 16,
     from ray.data.aggregate import Count
 
     # constructed instance → task pool: the hash coefficients are tiny, and
-    # a per-execution actor pool costs ~1s/actor in spawn (see EngineConfig.
-    # use_actor_pool); pass the CLASS + concurrency for heavy-state variants
+    # a per-execution actor pool costs ~1s/actor in spawn; pass the CLASS +
+    # concurrency for heavy-state variants
     sig = ds.map_batches(
         MinHasher(num_perm=num_perm, bands=bands, shingle_n=shingle_n,
                   text_col=text_col, id_col=id_col),

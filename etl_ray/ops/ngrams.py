@@ -218,9 +218,11 @@ def source_kl_divergence(ds, *, source_col: str = "source",
         g = f.groupby([source_col, "token"], as_index=False).size()
         return g.rename(columns={"size": "n"})
 
+    # materialized once: both consumers below read it, and a lazy dataset
+    # would re-run the tokenize + (source, token) shuffle for each
     counts = (ds.map_batches(partial, batch_format="pandas")
               .groupby([source_col, "token"])
-              .aggregate(Sum("n", alias_name="n")))
+              .aggregate(Sum("n", alias_name="n"))).materialize()
 
     # corpus totals per token are a second small aggregate of the SAME
     # count table; both sides are |vocab|-scale, so the join is cheap

@@ -179,14 +179,18 @@ def length_bucket_batches(ds, *, tokens_col: str = "tokens",
     rank in one vectorized pass per bucket (len(boundaries)+1 groups —
     at extreme corpus sizes sub-partition by id range per bucket, same
     note as sessionize). Returns (id, n_tok, bucket, batch_idx, pad_to,
-    waste)."""
+    waste). A row whose token list is NULL has no sequence to batch and is
+    dropped (an empty list is kept, with n_tok 0)."""
     bounds = np.asarray(sorted(boundaries), dtype=np.int64)
 
     def per_batch(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        n_tok = pc.list_value_length(t[tokens_col]).to_numpy(
-            zero_copy_only=False).astype(np.int64)
+        lens = pc.list_value_length(t[tokens_col])
+        if lens.null_count:
+            t = t.filter(pc.is_valid(lens))
+            lens = pc.list_value_length(t[tokens_col])
+        n_tok = lens.to_numpy(zero_copy_only=False).astype(np.int64)
         bucket = np.searchsorted(bounds, n_tok, side="left")
         return pa.table({
             id_col: t[id_col],

@@ -98,9 +98,9 @@ def compact(
     concurrency: Optional[int] = None,
 ) -> dict:
     """Compact eligible partitions; returns a summary dict. ``force``
-    compacts every partition that has any delta or >1 file."""
-    import ray.data as rd
-
+    compacts every partition that has any delta or >1 file.
+    ``concurrency`` caps the partition tasks in flight (default: twice the
+    cluster CPUs)."""
     config = config or EngineConfig()
     if min_deltas is None:
         min_deltas = config.compact_min_deltas
@@ -114,35 +114,23 @@ def compact(
         return {"compacted_partitions": 0, "rows": 0}
 
     new_version = manifest.version + 1
-    from etl_ray.util import descriptor_dataset, pool_args
+    from etl_ray.util import map_descriptors
 
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(1, min(len(todo), cpus - 1))
-    ds = descriptor_dataset(todo)
-    fn, pool = pool_args(
-        config, CompactGroup,
-        (lake_dir, manifest.schema_hex, new_version,
-         config.compact_streaming_threshold_bytes,
-         config.compact_rows_per_range),
-        concurrency,
-    )
-    stats = ds.map_batches(
-        fn,
-        batch_format="pyarrow",
-        batch_size=1,  # one descriptor per task (see util.descriptor_dataset)
-        **pool,
-    ).to_pandas()
+    # one task per partition; CompactGroup is looked up on the module at
+    # call time so an instrumented subclass can stand in for it
+    stats = map_descriptors(
+        CompactGroup(lake_dir, manifest.schema_hex, new_version,
+                     config.compact_streaming_threshold_bytes,
+                     config.compact_rows_per_range),
+        todo, concurrency)
 
     manifest.version = new_version
     total_rows = 0
-    for row in stats.itertuples(index=False):
-        p = manifest.partition(int(row.part))
-        p.files = [row.file]
+    for row in stats.to_pylist():
+        p = manifest.partition(row["part"])
+        p.files = [row["file"]]
         p.base_gen = new_version
-        total_rows += int(row.rows)
+        total_rows += row["rows"]
     manifest.lineage["commits"].append(
         {
             "commit_id": f"compact-g{new_version}",

@@ -1,17 +1,22 @@
-"""End-to-end replay: tail WAL → validate → shuffle → apply → commit.
+"""End-to-end replay: tail WAL → validate → exchange → apply → commit.
 
 One commit = one atomic application of a contiguous range of unapplied WAL
 segments (the analog of the reference's one-task-per-archive lifecycle,
 /root/reference/task/task.go:90-200, with Gardener-style resume,
 active/poller.go:152-216).
 
-Pipeline (streaming, zero-copy Arrow end to end):
+Pipeline (the storage exchange, stages/exchange.py; one plain Ray task per
+descriptor, dispatched by util.map_descriptors):
 
-    ray.data.read_parquet(segments)                 # distributed read tasks
-      .map_batches(Validator, batch_format="pyarrow")   # stateless decode/route
-      .groupby("__shard")                           # THE hash shuffle on doc_id
-      .map_groups(ApplyGroup, ...)                  # stateful actor-pool apply
+    rowgroup_descriptors(segments)        # one descriptor per WAL row group
+      → FragmentReadWriter task each      # decode + validate + bucket split
+    bucket_descriptors(stage-1 stats)     # one descriptor per bucket
+      → ApplyBucket task each             # per-shard LWW apply, delta write
       → tiny per-shard stats table on the driver → atomic manifest commit
+
+The manifest flip is the commit's only barrier; the stage tasks carry no
+state between commits. ``exchange="sort"`` keeps the Ray Data groupby
+exchange (no shared filesystem needed) with the same apply.
 
 Skew: partitions whose previous-commit event count exceeded
 ``salt_threshold`` are salted this commit (salt = seq % max_salt) — adaptive,
@@ -29,7 +34,7 @@ import pyarrow as pa
 from etl_ray.config import QUARANTINE_SHARD, EngineConfig
 from etl_ray.schema import promote_all
 from etl_ray.sources.wal import list_segments, segments_schema
-from etl_ray.stages.apply import ApplyShards
+from etl_ray.stages.apply import STATS_SCHEMA, ApplyShards
 from etl_ray.stages.validate import Validator
 from etl_ray.state.manifest import Manifest
 from etl_ray.state.stats import CommitStats
@@ -84,91 +89,98 @@ def _salted_parts(manifest: Manifest, config: EngineConfig) -> frozenset:
 
 
 def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
-                            salted, cpus, concurrency):
+                            salted, cpus, pre_map=None) -> pa.Table:
     """Two-phase apply through the disk exchange (see stages/exchange.py).
 
-    Phase 1 is a stateless task pool (validate + bucket-split fragment
-    writes, streaming); phase 2 is the stateful actor pool, one input block
-    per bucket. Both phases' outputs are tiny stats tables.
+    Stage 1 runs one task per WAL row group (decode, ``pre_map``, validate,
+    bucket-split fragment write); stage 2 runs one task per bucket. Both
+    return tiny stats tables, gathered in submission order.
     """
-    import ray.data as rd
+    from etl_ray.stages import exchange
+    from etl_ray.util import map_descriptors
 
-    from etl_ray.stages.exchange import (
-        ApplyBucket,
-        FragmentReadWriter,
-        bucket_descriptors,
-        cleanup_exchange,
-        exchange_path,
-        rowgroup_descriptors,
-    )
-
-    import os as _os
-
-    prof = _os.environ.get("ETL_RAY_PROFILE") == "1"
-    t0 = time.monotonic()
     # wipe any fragments from a crashed attempt of this same commit: the
     # retry regenerates them deterministically
-    cleanup_exchange(lake_dir, commit_id, config.exchange_root)
-    exch = exchange_path(lake_dir, commit_id, config.exchange_root)
+    exchange.cleanup_exchange(lake_dir, commit_id, config.exchange_root)
+    exch = exchange.exchange_path(lake_dir, commit_id, config.exchange_root)
     n_buckets = max(4, min(config.num_partitions * config.max_salt,
                            cpus * config.bucket_multiplier))
-
-    ctx = rd.DataContext.get_current()
-    prev_min = ctx.target_min_block_size
-    try:
-        # descriptor rows (both stages) are bytes-tiny; without this the
-        # executor bundles them into one block and the stage loses its
-        # parallelism
-        ctx.target_min_block_size = 0
-        # fused read: stage-1 tasks decode their own row group in place —
-        # a constructed instance → stateless TASK pool reusing Ray's
-        # pre-started workers; no WAL bytes cross the object store
-        # (the unfused ReadParquet → map_batches chain round-tripped the
-        # whole WAL through plasma: measured 3.6-4.4 s vs ~1.0 s at 8 CPUs)
-        rg_items = rowgroup_descriptors(seg_paths)
-        rg_desc = rd.from_items(rg_items, override_num_blocks=len(rg_items))
-        frag_stats = rg_desc.map_batches(
-            FragmentReadWriter(config, target, salted, exch, n_buckets),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).to_pandas()
-        if prof:
-            print(f"[profile] stage1 validate+split: "
-                  f"{time.monotonic() - t0:.2f}s", flush=True)
-            t0 = time.monotonic()
-
-        items = bucket_descriptors(frag_stats, n_buckets)
-        if not items:
-            from etl_ray.stages.apply import STATS_SCHEMA
-
-            return STATS_SCHEMA.empty_table().to_pandas()
-        desc = rd.from_items(items, override_num_blocks=len(items))
-        pool = dict(
-            fn_constructor_args=(lake_dir, commit_id, config, exch, n_buckets),
-            concurrency=min(concurrency, len(items)),
-            num_cpus=1,
-        ) if config.use_actor_pool else {}
-        fn = ApplyBucket if config.use_actor_pool else ApplyBucket(
-            lake_dir, commit_id, config, exch, n_buckets)
-        stats_tbl = desc.map_batches(
-            fn,
-            batch_format="pyarrow",
-            # batch_size=1 == min_rows_per_bundled_input=1: dispatch each
-            # 1-row descriptor block as its own task (None lets the executor
-            # bundle the tiny blocks into one and serializes the stage)
-            batch_size=1,
-            **pool,
-        ).to_pandas()
-    finally:
-        ctx.target_min_block_size = prev_min
-    if prof:
-        print(f"[profile] stage2 apply: {time.monotonic() - t0:.2f}s",
-              flush=True)
-        t0 = time.monotonic()
-    cleanup_exchange(lake_dir, commit_id, config.exchange_root)
-    if prof:
-        print(f"[profile] cleanup: {time.monotonic() - t0:.2f}s", flush=True)
+    in_flight = config.apply_concurrency
+    # fused read: stage-1 tasks decode their own row group in place; no WAL
+    # bytes cross the object store (the unfused ReadParquet → map_batches
+    # chain round-tripped the whole WAL through plasma: measured 3.6-4.4 s
+    # vs ~1.0 s at 8 CPUs). The stage callables are looked up on the module
+    # at call time so instrumented subclasses can stand in for them.
+    frag_stats = map_descriptors(
+        exchange.FragmentReadWriter(config, target, salted, exch, n_buckets,
+                                    pre_map=pre_map),
+        exchange.rowgroup_descriptors(seg_paths), in_flight)
+    items = exchange.bucket_descriptors(frag_stats.to_pandas(), n_buckets)
+    if not items:
+        return STATS_SCHEMA.empty_table()
+    stats_tbl = map_descriptors(
+        exchange.ApplyBucket(lake_dir, commit_id, config, exch, n_buckets),
+        items, in_flight)
+    exchange.cleanup_exchange(lake_dir, commit_id, config.exchange_root)
     return stats_tbl
+
+
+def _fold_commit_stats(manifest: Manifest, cs: CommitStats,
+                       stats_tbl: pa.Table, target: pa.Schema, t0: float,
+                       *, recovery: bool = False) -> None:
+    """Fold the apply stage's per-shard stats into ``cs`` and stage the next
+    manifest version in memory (the caller commits it). A replay commit
+    appends its quarantine file; a recovery commit REPLACES the quarantine
+    with what is still invalid."""
+    from etl_ray.state.stats import DURATION_BUCKETS, ROWS_BUCKETS, Histogram
+
+    quarantine: List[str] = []
+    for row in stats_tbl.to_pylist():
+        cs.events_in += row["rows_in"]
+        if row["shard"] == QUARANTINE_SHARD:
+            cs.quarantined += row["rows_in"]
+            quarantine.append(row["file"])
+            continue
+        cs.rows_written += row["rows_out"]
+        cs.deletes += row["deletes"]
+        p = manifest.partition(row["part"])
+        p.files.append(row["file"])
+        p.watermark_seq = max(p.watermark_seq, row["max_seq"])
+        pp = cs.per_partition.setdefault(row["part"], {"rows": 0, "sec": 0.0})
+        pp["rows"] += row["rows_in"]
+        pp["sec"] += row["wall_sec"]
+    for pp in cs.per_partition.values():
+        pp["rows_per_sec"] = round(pp["rows"] / pp["sec"], 1) \
+            if pp["sec"] else None
+    cs.valid = cs.events_in - cs.quarantined
+    cs.wall_sec = time.monotonic() - t0
+    # per-stage distribution metrics for the /metrics scrape surface
+    # (reference exports these as Prometheus histograms,
+    # metrics/metrics.go:398-555)
+    h_sec = Histogram(DURATION_BUCKETS)
+    h_sec.observe_many(stats_tbl["wall_sec"].to_pylist())
+    h_rows = Histogram(ROWS_BUCKETS)
+    h_rows.observe_many(stats_tbl["rows_in"].to_pylist())
+    cs.histograms = {"shard_apply_seconds": h_sec.to_json(),
+                     "shard_rows": h_rows.to_json()}
+
+    manifest.version += 1
+    manifest.set_schema(target)
+    lin = manifest.lineage
+    if recovery:
+        manifest.quarantine_files = quarantine
+        lin["quarantined"] = cs.quarantined
+    else:
+        manifest.quarantine_files.extend(quarantine)
+        lin["quarantined"] += cs.quarantined
+    lin["events_in"] += cs.events_in
+    lin["valid"] += cs.valid
+    lin["rows_written"] += cs.rows_written
+    lin["deletes"] += cs.deletes
+    rec = cs.to_json()
+    if recovery:
+        rec["recovery"] = True
+    lin["commits"].append(rec)
 
 
 def replay_once(
@@ -187,7 +199,6 @@ def replay_once(
     byte-identical files and the same manifest).
     """
     import ray
-    import ray.data as rd
 
     t0 = time.monotonic()
     manifest = Manifest.load(lake_dir)
@@ -225,17 +236,9 @@ def replay_once(
     salted = _salted_parts(manifest, config)
 
     cpus = int(ray.cluster_resources().get("CPU", 4))
-    concurrency = config.apply_concurrency
-    if concurrency is None:
-        # cap below the CPU count: a pool == cluster CPUs starves the
-        # upstream read of the shuffled blocks and the executor stalls
-        concurrency = max(2, cpus - 2)
-
     if config.exchange == "storage":
         stats_tbl = _storage_exchange_apply(
-            seg_paths, lake_dir, commit_id, config, target, salted,
-            cpus, concurrency,
-        )
+            seg_paths, lake_dir, commit_id, config, target, salted, cpus)
     else:
         from etl_ray.util import read_parquet_any
 
@@ -247,55 +250,22 @@ def replay_once(
         )
         # The groupby exchange is a barrier that materializes its input
         # anyway; the explicit materialize keeps the read+validate phase and
-        # the shuffle+apply phase from fighting over CPUs (the apply actor
-        # pool otherwise reserves cores while the read is still running —
-        # measured 2-6x slower).
+        # the shuffle+apply phase from fighting over CPUs. A constructed
+        # ApplyShards runs as a task pool, which holds no CPUs while the
+        # sort runs (a fixed actor pool did, and hung at 1-2 CPUs).
         validated = ds.materialize()
-        stats_tbl = (
+        apply = ApplyShards(lake_dir, commit_id, config)
+        df = (
             validated.groupby("__shard")
-            .map_groups(
-                ApplyShards,
-                fn_constructor_args=(lake_dir, commit_id, config),
-                batch_format="pyarrow",
-                concurrency=concurrency,
-                num_cpus=1,
-            )
+            .map_groups(lambda g: apply(g), batch_format="pyarrow")
             .to_pandas()
         )
+        stats_tbl = pa.Table.from_pandas(
+            df, schema=STATS_SCHEMA, preserve_index=False) \
+            if len(df) else STATS_SCHEMA.empty_table()
 
     cs = CommitStats(commit_id=commit_id, segments=[s.number for s in segs])
-    cs.events_in = int(stats_tbl["rows_in"].sum())
-    new_version = manifest.version + 1
-    for row in stats_tbl.itertuples(index=False):
-        if row.shard == QUARANTINE_SHARD:
-            cs.quarantined += int(row.rows_in)
-            manifest.quarantine_files.append(row.file)
-            continue
-        cs.rows_written += int(row.rows_out)
-        cs.deletes += int(row.deletes)
-        p = manifest.partition(int(row.part))
-        p.files.append(row.file)
-        p.watermark_seq = max(p.watermark_seq, int(row.max_seq))
-        pp = cs.per_partition.setdefault(
-            int(row.part), {"rows": 0, "sec": 0.0})
-        pp["rows"] += int(row.rows_in)
-        pp["sec"] += float(row.wall_sec)
-    for pp in cs.per_partition.values():
-        pp["rows_per_sec"] = round(pp["rows"] / pp["sec"], 1) if pp["sec"] else None
-    cs.valid = cs.events_in - cs.quarantined
-    cs.wall_sec = time.monotonic() - t0
-    # per-stage distribution metrics for the /metrics scrape surface
-    # (reference exports these as Prometheus histograms,
-    # metrics/metrics.go:398-555)
-    from etl_ray.state.stats import DURATION_BUCKETS, ROWS_BUCKETS, Histogram
-
-    h_sec = Histogram(DURATION_BUCKETS)
-    h_sec.observe_many(stats_tbl["wall_sec"])
-    h_rows = Histogram(ROWS_BUCKETS)
-    h_rows.observe_many(stats_tbl["rows_in"])
-    cs.histograms = {"shard_apply_seconds": h_sec.to_json(),
-                     "shard_rows": h_rows.to_json()}
-
+    _fold_commit_stats(manifest, cs, stats_tbl, target, t0)
     if (
         config.max_failure_ratio is not None
         and cs.events_in > 0
@@ -311,20 +281,20 @@ def replay_once(
             f"quarantined (> max_failure_ratio={config.max_failure_ratio})",
             stats=cs,
         )
-
-    manifest.version = new_version
-    manifest.set_schema(target)
     manifest.applied_through_segment = segs[-1].number
-    lin = manifest.lineage
-    lin["events_in"] += cs.events_in
-    lin["valid"] += cs.valid
-    lin["quarantined"] += cs.quarantined
-    lin["rows_written"] += cs.rows_written
-    lin["deletes"] += cs.deletes
-    lin["commits"].append(cs.to_json())
     if commit:
         manifest.commit()
     return cs
+
+
+# columns a quarantine file may persist that are not event fields: the
+# Validator re-derives them
+_QUARANTINE_META = ("__reason", "__shard")
+
+
+def _strip_quarantine_meta(t: pa.Table) -> pa.Table:
+    drop = [c for c in _QUARANTINE_META if c in t.column_names]
+    return t.drop_columns(drop) if drop else t
 
 
 def recover_quarantine(
@@ -346,7 +316,6 @@ def recover_quarantine(
     Returns None (and leaves the manifest unflipped) when nothing
     becomes valid."""
     import ray
-    import ray.data as rd
 
     t0 = time.monotonic()
     manifest = Manifest.load(lake_dir)
@@ -356,90 +325,30 @@ def recover_quarantine(
 
     paths = [_os.path.join(lake_dir, f) for f in manifest.quarantine_files]
     target = _target_schema(manifest, paths, config)
-    # quarantine files persist the __reason diagnostic column; it is NOT an
-    # event field — the Validator re-derives it, so it must not survive into
-    # the target schema (a stored copy would collide with the fresh one)
-    drop_meta = [c for c in ("__reason", "__shard") if c in target.names]
-    for c in drop_meta:
-        target = target.remove(target.get_field_index(c))
-    salted = _salted_parts(manifest, config)
+    # a stored __reason must not survive into the target schema (it would
+    # collide with the fresh one)
+    for c in _QUARANTINE_META:
+        if c in target.names:
+            target = target.remove(target.get_field_index(c))
     commit_id = manifest.commit_id
-
     cpus = int(ray.cluster_resources().get("CPU", 4))
-    concurrency = config.apply_concurrency or max(2, cpus - 2)
-
-    from etl_ray.util import read_parquet_any
-
-    ds = read_parquet_any(paths)
-
-    def strip_reason(t: pa.Table) -> pa.Table:
-        drop = [c for c in ("__reason", "__shard") if c in t.column_names]
-        return t.drop_columns(drop) if drop else t
-
-    validated = ds.map_batches(strip_reason, batch_format="pyarrow") \
-        .map_batches(Validator(config, target, salted),
-                     batch_format="pyarrow",
-                     batch_size=config.batch_size).materialize()
-    stats_tbl = (
-        validated.groupby("__shard")
-        .map_groups(
-            ApplyShards,
-            fn_constructor_args=(lake_dir, commit_id, config),
-            batch_format="pyarrow",
-            concurrency=min(concurrency, config.num_partitions),
-            num_cpus=1,
-        )
-        .to_pandas()
-    )
+    stats_tbl = _storage_exchange_apply(
+        paths, lake_dir, commit_id, config, target,
+        _salted_parts(manifest, config), cpus,
+        pre_map=_strip_quarantine_meta)
 
     cs = CommitStats(commit_id=commit_id, segments=[])
-    cs.events_in = int(stats_tbl["rows_in"].sum())
-    new_quarantine: List[str] = []
-    delta_rows = []
-    for row in stats_tbl.itertuples(index=False):
-        if row.shard == QUARANTINE_SHARD:
-            cs.quarantined += int(row.rows_in)
-            new_quarantine.append(row.file)
-        else:
-            delta_rows.append(row)
-    cs.valid = cs.events_in - cs.quarantined
+    _fold_commit_stats(manifest, cs, stats_tbl, target, t0, recovery=True)
     if cs.valid == 0:
         # nothing recovered: remove the rewritten (identical) quarantine
         # file and leave the manifest untouched — recovery is a no-op and
         # idempotent under repeated calls
-        for f in new_quarantine:
+        for f in manifest.quarantine_files:
             try:
                 _os.remove(_os.path.join(lake_dir, f))
             except OSError:
                 pass
         return None
-    for row in delta_rows:
-        cs.rows_written += int(row.rows_out)
-        cs.deletes += int(row.deletes)
-        p = manifest.partition(int(row.part))
-        p.files.append(row.file)
-        p.watermark_seq = max(p.watermark_seq, int(row.max_seq))
-        pp = cs.per_partition.setdefault(
-            int(row.part), {"rows": 0, "sec": 0.0})
-        pp["rows"] += int(row.rows_in)
-        pp["sec"] += float(row.wall_sec)
-    for pp in cs.per_partition.values():
-        pp["rows_per_sec"] = round(pp["rows"] / pp["sec"], 1) \
-            if pp["sec"] else None
-    cs.wall_sec = time.monotonic() - t0
-
-    manifest.version += 1
-    manifest.set_schema(target)
-    manifest.quarantine_files = new_quarantine
-    lin = manifest.lineage
-    lin["events_in"] += cs.events_in
-    lin["valid"] += cs.valid
-    lin["quarantined"] = cs.quarantined  # quarantine REPLACED, not added
-    lin["rows_written"] += cs.rows_written
-    lin["deletes"] += cs.deletes
-    rec = cs.to_json()
-    rec["recovery"] = True
-    lin["commits"].append(rec)
     manifest.commit()
     return cs
 

@@ -1,9 +1,9 @@
-"""Apply stage: per-shard delta writer (the stateful actor-pool stage).
+"""Apply stage: per-shard delta writer.
 
-Used as ``ds.groupby("__shard").map_groups(ApplyGroup, ...)`` — the groupby
-is the ONE genuine all-to-all shuffle in the engine (hash-partition events by
-doc_id). Each group call receives every event routed to one shard
-(= partition × salt) for the current commit and:
+Called on one storage-exchange bucket per Ray task (stages/exchange.py
+ApplyBucket), or per group of the ``exchange="sort"`` groupby. Each call
+receives every event routed to its shards (shard = partition × salt) for
+the current commit and, per shard:
 
   1. sorts by sequence_number and collapses to the last event per doc_id
      (LWW *within* the commit — the delta file is already deduped),
@@ -79,13 +79,13 @@ def _atomic_write(table: pa.Table, path: str) -> None:
 
 
 class ApplyShards:
-    """Callable class → Ray actor pool; construction (path roots, config)
-    happens once per actor, not once per block (reference: per-process init
-    state, SURVEY.md §2.6).
+    """Callable class; construction (path roots, config) happens once per
+    commit on the driver (reference: per-process init state, SURVEY.md
+    §2.6).
 
-    Input blocks come from a HASH-partitioned exchange on ``__shard``
-    (``repartition(keys=["__shard"])``): every shard's events land wholly in
-    exactly one block, but one block may carry several shards. The block is
+    Input blocks come from a hash exchange on ``__shard``: every shard's
+    events land wholly in exactly one block, but one block may carry
+    several shards. The block is
     locally sorted by shard and split at run boundaries — cheaper than a
     global sort-based groupby (no range sampling, single exchange pass)."""
 

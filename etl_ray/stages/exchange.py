@@ -9,22 +9,26 @@ bucket files on shared storage, then per-bucket reducers — so the exchange
 doubles as the natural multi-node path (the exchange dir lives next to the
 lake on the shared filesystem / object store).
 
-  Stage 1 (task pool, stateless): validate each batch, sort rows by
-    bucket = mix(shard) % n_buckets, write ONE fragment file per batch, ONE
-    ROW GROUP (parquet) or RECORD BATCH (Arrow IPC) per bucket under
-    ``<exchange>/frag-*`` (tmp+rename atomic). The returned stats table
-    carries the (file, row_group) -> bucket index, so no per-bucket
-    directories and no small-file storm: fragment file count == batch
-    count, not batch x bucket (the round-1 layout peaked at ~15k tiny
-    files per commit at sf0.1; this writes ~60). Container format per
+  Stage 1 (one Ray task per WAL row group, stateless): validate each
+    batch, sort rows by bucket = mix(shard) % n_buckets, write ONE fragment
+    file per batch, ONE ROW GROUP (parquet) or RECORD BATCH (Arrow IPC) per
+    bucket under ``<exchange>/frag-*`` (tmp+rename atomic). The returned
+    stats table carries the (file, row_group) -> bucket index, so no
+    per-bucket directories and no small-file storm: fragment file count ==
+    batch count, not batch x bucket (the round-1 layout peaked at ~15k
+    tiny files per commit at sf0.1; this writes ~60). Container format per
     ``EngineConfig.exchange_format``: parquet for disk/shared-fs (half the
     bytes), IPC for RAM-backed exchange roots (near-zero encode/decode).
-  Stage 2 (task/actor pool, stateful): one task per bucket reads exactly its
+  Stage 2 (one Ray task per bucket): each task reads exactly its
     row groups / record batches (row-group-granular parquet reads;
     memory-mapped zero-copy IPC) and runs the per-shard LWW apply
     (ApplyShards), pre-collapsing accumulated chunks per (__shard, doc_id)
     whenever they exceed ``apply_chunk_rows`` so a backlog bucket never
     materializes unbounded (max-by-seq is associative).
+
+Both stages are plain ``ray.remote`` tasks (``util.map_descriptors``); the
+driver gathers their stats tables in submission order, so manifests list
+files in a deterministic order.
 
 Crash safety: a failed attempt's fragments are wiped at the start of the
 retry (the exchange dir is keyed by the deterministic commit_id), and even
@@ -92,8 +96,8 @@ def exchange_path(lake_dir: str, commit_id: str, root: str = None) -> str:
 
 class FragmentWriter:
     """Stage 1: validate + bucket-sort + one-file-per-batch fragment write.
-    A plain callable class usable as a task- or actor-pool map_batches stage;
-    the Validator (compiled schema, hash fns) is built once per worker."""
+    A plain callable class; the Validator (compiled schema, hash fns) is
+    built once, on the driver, and shipped with the instance."""
 
     def __init__(self, config: EngineConfig, target_schema, salted_parts,
                  exchange_dir: str, n_buckets: int):
@@ -307,13 +311,16 @@ class FragmentReadWriter:
     reads exactly its row group where it runs, slices it into
     ``config.batch_size`` chunks and runs the normal FragmentWriter on
     each — identical fragments/stats, no WAL bytes through the object
-    store."""
+    store. ``pre_map`` (a picklable table → table function) runs on each
+    row group before validation."""
 
     def __init__(self, config: EngineConfig, target_schema,
-                 salted_parts, exchange_dir: str, n_buckets: int):
+                 salted_parts, exchange_dir: str, n_buckets: int,
+                 pre_map=None):
         self.inner = FragmentWriter(config, target_schema, salted_parts,
                                     exchange_dir, n_buckets)
         self.batch_size = config.batch_size
+        self.pre_map = pre_map
 
     def __call__(self, desc: pa.Table) -> pa.Table:
         from etl_ray.util import resolve_fs
@@ -323,6 +330,8 @@ class FragmentReadWriter:
             f, lp = resolve_fs(row["path"])
             with f.open_input_file(lp) as fh:
                 t = pq.ParquetFile(fh).read_row_group(row["rg"])
+            if self.pre_map is not None:
+                t = self.pre_map(t)
             for i in range(0, len(t), self.batch_size):
                 outs.append(self.inner(t.slice(i, self.batch_size)))
         if not outs:
@@ -437,18 +446,11 @@ class ApplyBucket:
         return pa.concat_tables(acc, promote_options="default"), true_counts
 
     def __call__(self, desc: pa.Table) -> pa.Table:
-        import json
-        import time as _time
-
         from etl_ray.stages.apply import STATS_SCHEMA
 
-        trace = os.environ.get("ETL_RAY_STAGE2_TRACE")
         outs = []
         for row in desc.to_pylist():
-            _t0 = _time.monotonic()
             table, true_counts = self._bucket_table(row)
-            if trace:
-                _t1 = _time.monotonic()
             if "__gpidx" in table.column_names:
                 # winners-only payload gather: ApplyShards takes exactly
                 # the LWW winners' rows from the mmap'd arrival-order
@@ -458,14 +460,6 @@ class ApplyBucket:
                 stats = self.inner(table, payload=self._payload_tables)
             else:
                 stats = self.inner(table)
-            if trace:
-                with open(trace, "a") as fh:
-                    fh.write(json.dumps({
-                        "pid": os.getpid(), "bucket": int(row["bucket"]),
-                        "rows": len(table),
-                        "read_collapse_s": round(_t1 - _t0, 3),
-                        "apply_s": round(_time.monotonic() - _t1, 3),
-                    }) + "\n")
             # restore pre-collapse rows_in per shard (ADVICE r02: the
             # failure-ratio denominator and hot-partition detection must
             # see real event counts, not collapsed ones)

@@ -217,3 +217,35 @@ def test_source_kl_divergence():
     # skew: p_s(z)=1 -> ln(1/0.5) = ln 2
     exp = np.floor(np.log(2) * 1e4 + 0.5) / 1e4
     assert out["kl_nats"].tolist() == [exp, exp]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_source_kl_divergence_counts_once(tmp_path):
+    """The (source, token) count table feeds two consumers; it is built
+    once, so the upstream tokenizing map runs once per input block."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from etl_ray.ops.ngrams import source_kl_divergence
+
+    log = str(tmp_path / "calls")
+
+    def mark(t: pa.Table) -> pa.Table:
+        with open(log, "a") as fh:
+            fh.write("x\n")
+        return t
+
+    blocks = [pa.table({"source": pa.array(["same", "same"]),
+                        "text": pa.array(["a b", "c d"])}),
+              pa.table({"source": pa.array(["skew", "skew"]),
+                        "text": pa.array(["z z", "z z"])})]
+    ds = rd.from_arrow(blocks).map_batches(mark, batch_format="pyarrow",
+                                           batch_size=None)
+    out = (source_kl_divergence(ds).to_pandas()
+           .sort_values("source").reset_index(drop=True))
+    exp = np.floor(np.log(2) * 1e4 + 0.5) / 1e4
+    assert out["kl_nats"].tolist() == [exp, exp]
+    assert out["n_tok"].tolist() == [4, 4]
+    with open(log) as fh:
+        assert len(fh.read().split()) == len(blocks)

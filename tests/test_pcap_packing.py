@@ -151,3 +151,26 @@ def test_length_bucket_batches_hand_case():
     # pad_to is the batch max; waste = pad_to - n_tok
     assert out.loc[0, "pad_to"] == 31 and out.loc[0, "waste"] == 26
     assert (out["waste"] == out["pad_to"] - out["n_tok"]).all()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_length_bucket_batches_null_tokens_dropped():
+    """A NULL token list has no length: it must not reach the int64 cast
+    (NaN → INT64_MIN garbage in n_tok/bucket/waste). Empty lists stay."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from etl_ray.ops.packing import length_bucket_batches
+
+    t = pa.table({
+        "doc_id": pa.array(range(5), pa.int64()),
+        "tokens": pa.array([[0] * 3, None, [], [0] * 40, None],
+                           pa.list_(pa.int32())),
+    })
+    out = (length_bucket_batches(rd.from_arrow(t), batch_size=2)
+           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert out["doc_id"].tolist() == [0, 2, 3]
+    assert out["n_tok"].tolist() == [3, 0, 40]
+    assert out["bucket"].tolist() == [0, 0, 1]
+    assert out["pad_to"].tolist() == [3, 3, 40]
+    assert out["waste"].tolist() == [0, 3, 0]
