@@ -4,7 +4,7 @@ Ray is initialised by the driver BEFORE this module is imported; nothing here
 (or in etl_ray) calls ray.init()/ray.shutdown().
 
 The cdc_* queries run the FULL engine end-to-end (changelog derived
-deterministically from the events table → validate → shuffle → actor-pool
+deterministically from the events table → validate → storage exchange →
 apply → manifest commit → merge-on-read), and the SQL oracle recomputes the
 final lake state with an ANSI window query — so the driver's value-hash
 check covers LWW upserts, deletes, exactly-once resume, salting, compaction,

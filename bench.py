@@ -2,8 +2,8 @@
 
 Headline: end-to-end CDC replay (change-events/sec applied) of a seeded
 synthetic tokens changelog sized by the scale factor, through the full
-engine: read → validate → hash-partition shuffle → actor-pool apply →
-manifest commit. Plus compaction, merge-on-read, incremental catch-up, and
+engine: read → validate → storage-exchange hash partition → per-bucket
+apply → manifest commit. Plus compaction, merge-on-read, incremental catch-up, and
 the training-data ops over the driver tables.
 
     GRAFT_SF_DIR=/root/testdata/sf0.1 RAY_GRAFT_CPUS=32 python bench.py

@@ -1,13 +1,13 @@
 """etl_ray — a Ray-Data-native CDC / incremental-ingest engine.
 
 A WAL-style Parquet changelog of insert/update/delete events keyed on
-``doc_id`` is tailed, validated and decoded with zero-copy Arrow
-``map_batches``, hash-partitioned by ``doc_id`` via a groupby shuffle, and
-applied as last-writer-wins upserts on ``(doc_id, sequence_number)`` into a
-partitioned Parquet lake — LSM-style delta+base files, an atomic manifest
-with exactly-once commit markers, per-partition watermark/lineage
-checkpoints, schema evolution (column add / int widen), and explicit skew
-salting.
+``doc_id`` is tailed, decoded and validated with zero-copy Arrow in plain Ray
+tasks, hash-partitioned by ``doc_id`` through a storage exchange of bucket
+files, and applied as last-writer-wins upserts on
+``(doc_id, sequence_number)`` into a partitioned Parquet lake — LSM-style
+delta+base files, an atomic manifest with exactly-once commit markers,
+per-partition watermark/lineage checkpoints, schema evolution (column add /
+int widen), and explicit skew salting.
 
 Capability model: m-lab/etl's archive-ingestion pipeline (see SURVEY.md for
 the mechanism-by-mechanism mapping; citations are file:line into

@@ -265,7 +265,6 @@ class EngineConfig:
     # range-sliced streaming sort-merge (stages/streaming_merge.py)
     compact_streaming_threshold_bytes: int = 512 << 20
     compact_rows_per_range: int = 1 << 20
-    max_segments_per_commit: int = 1_000_000
     # cap a commit by INPUT BYTES (file sizes driver-side; always >=1
     # segment): a catch-up replay of a huge backlog becomes several bounded
     # commits instead of one unbounded one. None = uncapped. Sized so one
@@ -275,51 +274,27 @@ class EngineConfig:
     # chunks are LWW-collapsed per (shard, doc) past this many rows, so
     # peak memory ~ collapsed state + one chunk even for backlog buckets
     apply_chunk_rows: int = 1 << 21
-    # fragment parquet codec ("lz4" fast / "zstd" smaller — bytes moved
-    # through the exchange are the e2e bottleneck on shared storage)
-    exchange_compression: str = "lz4"
-    # IPC-fragment buffer compression (None | "lz4" | "zstd"). The token
-    # payload is ~95% of exchange bytes at ~15.6 bits of entropy per int32
-    # token, so zstd reclaims ~40-50% of the bytes moved — the right trade
-    # whenever the exchange medium (shared DRAM here, network/disk on a
-    # real cluster) is the bottleneck rather than CPU. None = raw buffers
-    # (zero-copy mmap reads on the consumer side).
-    exchange_ipc_compression: Optional[str] = None
-    # fragment container: "parquet" (half the bytes — right for disk /
-    # shared-fs exchange) or "ipc" (Arrow IPC file, ~10x cheaper encode and
-    # near-zero-cost decode at ~2x bytes — right for a RAM-backed
-    # exchange_root like /dev/shm, where bytes are memcpys). Measured on
-    # 106 MB of token rows: parquet-lz4 49.5 MB, 1.3 s write + 1.4 s read;
-    # IPC 103 MB, 0.13 s write + ~0 s read.
+    # exchange fragment container: "parquet" (lz4, half the bytes — right
+    # for disk / shared-fs exchange) or "ipc" (raw Arrow IPC, ~10x cheaper
+    # encode and near-zero-cost decode at ~2x bytes — right for a
+    # RAM-backed exchange_root like /dev/shm, where bytes are memcpys).
+    # IPC fragments also split the payload: stage 1 bucket-sorts only the
+    # key columns and stage 2 gathers the LWW winners' payload rows from
+    # zero-copy mmaps (stages/exchange.py). Measured on 106 MB of token
+    # rows: parquet-lz4 49.5 MB, 1.3 s write + 1.4 s read; IPC 103 MB,
+    # 0.13 s write + ~0 s read.
     exchange_format: str = "parquet"
-    # Split-payload exchange (IPC only): stage 1 writes the heavy payload
-    # columns ONCE, in arrival order, to a sibling payload file and
-    # bucket-sorts only the tiny key columns (op/doc_id/seq/__shard + a
-    # row pointer). Stage 2 selects LWW winners on the keys and gathers
-    # winners' payload rows with one fused take over zero-copy mmaps — the
-    # multi-KB token arrays are never reordered in stage 1 and only the
-    # winners are ever copied in stage 2. Cuts exchange DRAM traffic by
-    # ~one full payload copy per commit (the stage-1 bucket take).
-    # None = auto (on for exchange_format="ipc", off for parquet — the
-    # winner gather needs mmap random access, i.e. shared-fs/tmpfs roots).
-    exchange_split_payload: Optional[bool] = None
-    # stage-2 bucket count = cpus × this (capped by num_partitions·max_salt).
-    # 2 = two waves of bucket tasks per round of CPUs; raise for better
-    # wave-packing when buckets are skewed, at the cost of more fragment
-    # files per stage-1 task (each stage-1 task writes one file per bucket)
-    bucket_multiplier: int = 2
     skip_count: int = 0  # sampling relief valve (reference etl/globals.go:326-330)
     # abort the commit (manifest unflipped, CommitAborted raised) when
     # quarantined/events_in exceeds this ratio — the reference's TaskError
     # gate (etl/etl.go:116-117). None = never abort (count + quarantine only).
     max_failure_ratio: Optional[float] = None
-    # "storage": disk/shared-fs hash exchange (fast, scales, default);
-    # "sort": Ray Data sort-based groupby shuffle (no shared fs needed)
-    exchange: str = "storage"
-    # where exchange fragments live. None → <lake>/_exchange (shared fs on a
-    # real cluster). Single-node benchmarking can point this at /dev/shm —
-    # fragments are transient (deleted after commit), so RAM-backed tmpfs is
-    # the in-memory-shuffle analog and skips a disk round-trip.
+    # where exchange fragments live. None → <lake>/_exchange, beside the
+    # lake (which must already be on a shared fs on a multi-node cluster:
+    # apply and the manifest commit write it through POSIX paths).
+    # Single-node benchmarking can point this at /dev/shm — fragments are
+    # transient (deleted after commit), so RAM-backed tmpfs is the
+    # in-memory-shuffle analog and skips a disk round-trip.
     exchange_root: Optional[str] = None
     payload: PayloadSpec = field(default_factory=TokensPayload)
     # partition fn: fn(doc_id_array, P) -> np.ndarray[int64]

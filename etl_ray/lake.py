@@ -25,9 +25,9 @@ CONTROL_DROP = ["op", "__reason", "__shard"]
 
 
 class MergeRead:
-    """Actor-pool merge reader: one call merges one partition (descriptor
-    row) — reads that partition's live files, LWW-merges, returns the Arrow
-    table. Schema (from the manifest, loaded once per actor) conforms old
+    """Merge reader: one call merges one partition (descriptor row) — reads
+    that partition's live files, LWW-merges, returns the Arrow table. The
+    schema (from the manifest, decoded once per instance) conforms old
     files to the current evolved schema."""
 
     def __init__(self, lake_dir: str, schema_hex: str, include_seq: bool,
@@ -94,8 +94,6 @@ def read_lake(
     *,
     include_seq: bool = False,
     columns: Optional[List[str]] = None,
-    concurrency: Optional[int] = None,
-    use_actor_pool: bool = False,
     version: Optional[int] = None,
 ):
     """Committed state of the lake as a ``ray.data.Dataset`` (one block per
@@ -112,24 +110,8 @@ def read_lake(
     if not descs:
         schema = manifest.schema or pa.schema([pa.field("doc_id", pa.string())])
         return rd.from_arrow(schema.empty_table())
-    ds = descriptor_dataset(descs)
-    ctor = (lake_dir, manifest.schema_hex, include_seq, columns)
-    if use_actor_pool:
-        if concurrency is None:
-            import ray
-
-            cpus = int(ray.cluster_resources().get("CPU", 4))
-            concurrency = max(1, min(len(descs), cpus - 1))
-        return ds.map_batches(
-            MergeRead,
-            fn_constructor_args=ctor,
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    return ds.map_batches(
-        MergeRead(*ctor),
+    return descriptor_dataset(descs).map_batches(
+        MergeRead(lake_dir, manifest.schema_hex, include_seq, columns),
         batch_format="pyarrow",
         batch_size=1,  # one descriptor per task (see util.descriptor_dataset)
     )

@@ -5,8 +5,9 @@ segments (the analog of the reference's one-task-per-archive lifecycle,
 /root/reference/task/task.go:90-200, with Gardener-style resume,
 active/poller.go:152-216).
 
-Pipeline (the storage exchange, stages/exchange.py; one plain Ray task per
-descriptor, dispatched by util.map_descriptors):
+Pipeline (the storage exchange, stages/exchange.py — the engine's only
+hash partitioner; one plain Ray task per descriptor, dispatched by
+util.map_descriptors):
 
     rowgroup_descriptors(segments)        # one descriptor per WAL row group
       → FragmentReadWriter task each      # decode + validate + bucket split
@@ -15,8 +16,7 @@ descriptor, dispatched by util.map_descriptors):
       → tiny per-shard stats table on the driver → atomic manifest commit
 
 The manifest flip is the commit's only barrier; the stage tasks carry no
-state between commits. ``exchange="sort"`` keeps the Ray Data groupby
-exchange (no shared filesystem needed) with the same apply.
+state between commits.
 
 Skew: partitions whose previous-commit event count exceeded
 ``salt_threshold`` are salted this commit (salt = seq % max_salt) — adaptive,
@@ -34,10 +34,15 @@ import pyarrow as pa
 from etl_ray.config import QUARANTINE_SHARD, EngineConfig
 from etl_ray.schema import promote_all
 from etl_ray.sources.wal import list_segments, segments_schema
-from etl_ray.stages.apply import STATS_SCHEMA, ApplyShards
-from etl_ray.stages.validate import Validator
+from etl_ray.stages.apply import STATS_SCHEMA
 from etl_ray.state.manifest import Manifest
 from etl_ray.state.stats import CommitStats
+
+# stage-2 buckets per cluster CPU: two waves of bucket tasks. A/B at 8 CPUs
+# (BASELINE.md): 2 → 4.05 s, 3 → 5.35 s, 4 → 4.96 s — more buckets cost
+# more fragment row groups per stage-1 task than their wave-packing saves.
+BUCKETS_PER_CPU = 2
+
 
 class CommitAborted(RuntimeError):
     """Raised when a commit's quarantine ratio exceeds
@@ -89,13 +94,15 @@ def _salted_parts(manifest: Manifest, config: EngineConfig) -> frozenset:
 
 
 def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
-                            salted, cpus, pre_map=None) -> pa.Table:
+                            salted, pre_map=None) -> pa.Table:
     """Two-phase apply through the disk exchange (see stages/exchange.py).
 
     Stage 1 runs one task per WAL row group (decode, ``pre_map``, validate,
     bucket-split fragment write); stage 2 runs one task per bucket. Both
     return tiny stats tables, gathered in submission order.
     """
+    import ray
+
     from etl_ray.stages import exchange
     from etl_ray.util import map_descriptors
 
@@ -103,8 +110,9 @@ def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
     # retry regenerates them deterministically
     exchange.cleanup_exchange(lake_dir, commit_id, config.exchange_root)
     exch = exchange.exchange_path(lake_dir, commit_id, config.exchange_root)
+    cpus = int(ray.cluster_resources().get("CPU", 4))
     n_buckets = max(4, min(config.num_partitions * config.max_salt,
-                           cpus * config.bucket_multiplier))
+                           cpus * BUCKETS_PER_CPU))
     in_flight = config.apply_concurrency
     # fused read: stage-1 tasks decode their own row group in place; no WAL
     # bytes cross the object store (the unfused ReadParquet → map_batches
@@ -198,8 +206,6 @@ def replay_once(
     to simulate a failure between apply and commit (the rerun must produce
     byte-identical files and the same manifest).
     """
-    import ray
-
     t0 = time.monotonic()
     manifest = Manifest.load(lake_dir)
     if manifest.version == 0 and not manifest.partitions:
@@ -213,7 +219,7 @@ def replay_once(
         wal_dir,
         after=manifest.applied_through_segment,
         skip_count=config.skip_count,
-        limit=max_segments or config.max_segments_per_commit,
+        limit=max_segments or None,
     )
     if not segs:
         return None
@@ -233,36 +239,9 @@ def replay_once(
     seg_paths = [s.path for s in segs]
     target = _target_schema(manifest, seg_paths, config)
     commit_id = manifest.commit_id
-    salted = _salted_parts(manifest, config)
-
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    if config.exchange == "storage":
-        stats_tbl = _storage_exchange_apply(
-            seg_paths, lake_dir, commit_id, config, target, salted, cpus)
-    else:
-        from etl_ray.util import read_parquet_any
-
-        ds = read_parquet_any(seg_paths)
-        ds = ds.map_batches(
-            Validator(config, target, salted),
-            batch_format="pyarrow",
-            batch_size=config.batch_size,
-        )
-        # The groupby exchange is a barrier that materializes its input
-        # anyway; the explicit materialize keeps the read+validate phase and
-        # the shuffle+apply phase from fighting over CPUs. A constructed
-        # ApplyShards runs as a task pool, which holds no CPUs while the
-        # sort runs (a fixed actor pool did, and hung at 1-2 CPUs).
-        validated = ds.materialize()
-        apply = ApplyShards(lake_dir, commit_id, config)
-        df = (
-            validated.groupby("__shard")
-            .map_groups(lambda g: apply(g), batch_format="pyarrow")
-            .to_pandas()
-        )
-        stats_tbl = pa.Table.from_pandas(
-            df, schema=STATS_SCHEMA, preserve_index=False) \
-            if len(df) else STATS_SCHEMA.empty_table()
+    stats_tbl = _storage_exchange_apply(
+        seg_paths, lake_dir, commit_id, config, target,
+        _salted_parts(manifest, config))
 
     cs = CommitStats(commit_id=commit_id, segments=[s.number for s in segs])
     _fold_commit_stats(manifest, cs, stats_tbl, target, t0)
@@ -315,8 +294,6 @@ def recover_quarantine(
     never been quarantined. ``applied_through_segment`` is untouched.
     Returns None (and leaves the manifest unflipped) when nothing
     becomes valid."""
-    import ray
-
     t0 = time.monotonic()
     manifest = Manifest.load(lake_dir)
     if not manifest.quarantine_files:
@@ -331,11 +308,9 @@ def recover_quarantine(
         if c in target.names:
             target = target.remove(target.get_field_index(c))
     commit_id = manifest.commit_id
-    cpus = int(ray.cluster_resources().get("CPU", 4))
     stats_tbl = _storage_exchange_apply(
         paths, lake_dir, commit_id, config, target,
-        _salted_parts(manifest, config), cpus,
-        pre_map=_strip_quarantine_meta)
+        _salted_parts(manifest, config), pre_map=_strip_quarantine_meta)
 
     cs = CommitStats(commit_id=commit_id, segments=[])
     _fold_commit_stats(manifest, cs, stats_tbl, target, t0, recovery=True)

@@ -6,8 +6,8 @@ etl/globals.go:326-330): list segment files, keep those strictly after the
 manifest's global watermark, optionally sample every (skip+1)-th.
 
 Discovery is driver-side (hybrid scout-then-pipeline): the work-list is tiny
-(one path per segment); the data itself is only ever read by distributed
-``ray.data.read_parquet`` tasks.
+(one path per segment); the data itself is only ever read inside the
+exchange's stage-1 Ray tasks, one row group per task.
 """
 
 from __future__ import annotations

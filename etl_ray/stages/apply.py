@@ -1,9 +1,8 @@
 """Apply stage: per-shard delta writer.
 
 Called on one storage-exchange bucket per Ray task (stages/exchange.py
-ApplyBucket), or per group of the ``exchange="sort"`` groupby. Each call
-receives every event routed to its shards (shard = partition × salt) for
-the current commit and, per shard:
+ApplyBucket). Each call receives every event routed to its shards
+(shard = partition × salt) for the current commit and, per shard:
 
   1. sorts by sequence_number and collapses to the last event per doc_id
      (LWW *within* the commit — the delta file is already deduped),
@@ -83,9 +82,9 @@ class ApplyShards:
     commit on the driver (reference: per-process init state, SURVEY.md
     §2.6).
 
-    Input blocks come from a hash exchange on ``__shard``: every shard's
-    events land wholly in exactly one block, but one block may carry
-    several shards. The block is
+    Input comes from one storage-exchange bucket (a hash exchange on
+    ``__shard``): every shard's events land wholly in exactly one bucket,
+    but one bucket may carry several shards. The bucket is
     locally sorted by shard and split at run boundaries — cheaper than a
     global sort-based groupby (no range sampling, single exchange pass)."""
 
@@ -209,7 +208,3 @@ class ApplyShards:
             },
             schema=STATS_SCHEMA,
         )
-
-
-# map_groups-compatible alias: a single-shard group is just a one-run block
-ApplyGroup = ApplyShards

@@ -17,8 +17,10 @@ lake on the shared filesystem / object store).
     per-bucket directories and no small-file storm: fragment file count ==
     batch count, not batch x bucket (the round-1 layout peaked at ~15k
     tiny files per commit at sf0.1; this writes ~60). Container format per
-    ``EngineConfig.exchange_format``: parquet for disk/shared-fs (half the
-    bytes), IPC for RAM-backed exchange roots (near-zero encode/decode).
+    ``EngineConfig.exchange_format``: lz4 parquet for disk/shared-fs (half
+    the bytes), raw IPC for RAM-backed exchange roots (near-zero
+    encode/decode). IPC fragments split the payload: only the key columns
+    are bucket-sorted; payload rows are written once, in arrival order.
   Stage 2 (one Ray task per bucket): each task reads exactly its
     row groups / record batches (row-group-granular parquet reads;
     memory-mapped zero-copy IPC) and runs the per-shard LWW apply
@@ -52,6 +54,10 @@ from etl_ray.config import QUARANTINE_SHARD, EngineConfig
 from etl_ray.stages.validate import Validator
 
 EXCHANGE_DIR = "_exchange"
+
+# parquet fragment codec: lz4 encodes/decodes fastest, and fragments live
+# for one commit only
+FRAGMENT_CODEC = "lz4"
 
 # Control columns that LWW winner selection / routing / stats need. In
 # split-payload mode ONLY these (plus __shard and a row pointer) are
@@ -104,13 +110,7 @@ class FragmentWriter:
         self.validator = Validator(config, target_schema, salted_parts)
         self.exchange_dir = exchange_dir
         self.n_buckets = n_buckets
-        self.compression = config.exchange_compression
         self.fmt = config.exchange_format
-        self.ipc_compression = config.exchange_ipc_compression
-        sp = config.exchange_split_payload
-        # auto: split only for IPC fragments (the winner gather needs
-        # zero-copy mmap random access — tmpfs / shared-fs roots)
-        self.split_payload = (self.fmt == "ipc") if sp is None else sp
         # columns observed high-cardinality in ANY batch are permanently
         # excluded (cheap negative cache); the dict decision itself is
         # re-made per batch — a first batch of bursty same-doc updates
@@ -150,16 +150,14 @@ class FragmentWriter:
 
     def _write_ipc(self, path: str, table: pa.Table, bucket_ids, starts,
                    ends, record) -> None:
-        # one IPC record batch per bucket. The encode is ~free; optional
-        # buffer compression trades CPU for exchange bytes. combine_chunks
-        # on the WHOLE table first so every slice shares one dictionary
-        # (the IPC file format forbids dictionary replacement).
+        # one uncompressed IPC record batch per bucket: the encode is
+        # ~free and stage 2 reads zero-copy views (compressed buffers were
+        # 3x slower end to end). combine_chunks on the WHOLE table first so
+        # every slice shares one dictionary (the IPC file format forbids
+        # dictionary replacement).
         table = table.combine_chunks()
-        opts = pa.ipc.IpcWriteOptions(
-            compression=self.ipc_compression) if self.ipc_compression \
-            else None
         with pa.OSFile(path + ".tmp", "wb") as sink:
-            with pa.ipc.new_file(sink, table.schema, options=opts) as w:
+            with pa.ipc.new_file(sink, table.schema) as w:
                 for rg, (s, e) in enumerate(zip(starts, ends)):
                     piece = table.slice(int(s), int(e - s))
                     batches = piece.combine_chunks().to_batches()
@@ -173,7 +171,7 @@ class FragmentWriter:
     def _write_parquet(self, path: str, table: pa.Table, bucket_ids, starts,
                        ends, record) -> None:
         with pq.ParquetWriter(path + ".tmp", table.schema,
-                              compression=self.compression) as w:
+                              compression=FRAGMENT_CODEC) as w:
             for rg, (s, e) in enumerate(zip(starts, ends)):
                 piece = table.slice(int(s), int(e - s))
                 w.write_table(piece, row_group_size=len(piece))
@@ -226,7 +224,9 @@ class FragmentWriter:
             batch = batch.drop_columns(["__reason"])
             pcols = [c for c in batch.column_names
                      if c not in KEY_EXCHANGE_COLS and c != "__shard"]
-            if self.split_payload and self.fmt == "ipc" and pcols:
+            # IPC fragments split the payload (the winner gather needs
+            # zero-copy mmap random access — tmpfs / shared-fs roots)
+            if self.fmt == "ipc" and pcols:
                 n = len(batch)
                 # payload: arrival order, ONE record batch, written once —
                 # the multi-KB rows are NEVER bucket-sorted here (that take
@@ -236,12 +236,8 @@ class FragmentWriter:
                 ptab = batch.select(pcols).combine_chunks()
                 ppath = os.path.join(self.exchange_dir,
                                      f"frag-{tag}-p.arrow")
-                opts = pa.ipc.IpcWriteOptions(
-                    compression=self.ipc_compression) \
-                    if self.ipc_compression else None
                 with pa.OSFile(ppath + ".tmp", "wb") as sink:
-                    with pa.ipc.new_file(sink, ptab.schema,
-                                         options=opts) as w:
+                    with pa.ipc.new_file(sink, ptab.schema) as w:
                         w.write_table(ptab, max_chunksize=max(n, 1))
                 os.replace(ppath + ".tmp", ppath)
                 # keys + row pointer into the payload file: tiny take

@@ -1,4 +1,4 @@
-"""Validate / decode / route stage — stateless zero-copy Arrow map_batches.
+"""Validate / decode / route stage — stateless zero-copy Arrow batch transform.
 
 The analog of the reference's per-file IsParsable + ParseAndInsert row
 validation (/root/reference/etl/etl.go:119-147, parser/ss.go:266-279,
@@ -29,8 +29,9 @@ from etl_ray.schema import conform
 
 
 class Validator:
-    """Callable class for ``map_batches`` — constructed once per actor/task;
-    holds the compiled target schema and config (reference: per-process
+    """Callable run on each batch in the exchange's stage-1 tasks
+    (FragmentWriter) — constructed once, on the driver; holds the compiled
+    target schema and config (reference: per-process
     dictionaries loaded in init, /root/reference/web100/web100.go:92-105)."""
 
     def __init__(self, config: EngineConfig, target_schema: pa.Schema,

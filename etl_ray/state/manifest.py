@@ -173,7 +173,10 @@ class Manifest:
         path = os.path.join(self.manifest_dir, f"v{self.version}.json")
         tmp = path + ".tmp"
         with open(tmp, "w") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
+            # compact dumps() runs CPython's C encoder (an indent, or
+            # json.dump, falls back to the pure-Python one)
+            f.write(json.dumps(self.to_json(), sort_keys=True,
+                               separators=(",", ":")))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

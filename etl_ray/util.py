@@ -99,21 +99,6 @@ def fs_listdir(path: str):
     return f, sorted((i.base_name, i.size) for i in infos)
 
 
-def read_parquet_any(paths, **kwargs):
-    """ray.data.read_parquet that accepts a LIST of URIs: Ray resolves a
-    filesystem only from the first path and then rejects the remaining
-    URIs ('Expected a local filesystem path, got a URI'), so pre-resolve
-    the filesystem once and pass fs-local paths."""
-    import ray.data as rd
-
-    paths = list(paths)
-    if not any("://" in p for p in paths):
-        return rd.read_parquet(paths, **kwargs)
-    f, first = resolve_fs(paths[0])
-    locals_ = [resolve_fs(p)[1] if "://" in p else p for p in paths]
-    return rd.read_parquet(locals_, filesystem=f, **kwargs)
-
-
 def to_pandas_keep_schema(ds):
     """``Dataset.to_pandas()`` that preserves COLUMN NAMES when every block
     is empty. Ray's streaming executor drops empty blocks, so an all-empty

@@ -275,20 +275,3 @@ def test_salted_parts_survive_compaction(tmp_wal, tmp_lake):
                     if "-s1" in f or "-s2" in f or "-s3" in f]
     assert salted_files
     assert_matches_oracle(tmp_lake, oracle_replay(paths, vocab=VOCAB))
-
-
-# --------------------------------------------- sort-exchange fallback parity
-@pytest.mark.usefixtures("ray_session")
-def test_sort_exchange_same_state_as_storage(tmp_wal, tmp_lake, tmp_path):
-    """exchange='sort' (Ray groupby shuffle, no shared fs needed) must
-    produce the identical lake state as the storage exchange."""
-    paths = generate_changelog(tmp_wal, n_events=900, n_segments=2, seed=39,
-                               vocab=VOCAB, corrupt_frac=0.03)
-    replay(tmp_wal, tmp_lake, cfg(exchange="sort"))
-    lake2 = str(tmp_path / "lake_storage")
-    os.makedirs(lake2)
-    replay(tmp_wal, lake2, cfg(exchange="storage"))
-    a, b = lake_state(tmp_lake), lake_state(lake2)
-    assert a.equals(b)
-    assert len(read_quarantine(tmp_lake)) == len(read_quarantine(lake2)) > 0
-    assert_matches_oracle(tmp_lake, oracle_replay(paths, vocab=VOCAB))

@@ -1,6 +1,7 @@
 """The commit and compaction task path: every apply path finishes on 1- and
-2-CPU clusters, and replay + compaction are deterministic down to the
-manifest (file lists in the same order)."""
+2-CPU clusters, no commit or compaction plans a Ray Data pipeline on the
+driver, and replay + compaction are deterministic down to the manifest (file
+lists in the same order)."""
 
 import glob
 import json
@@ -13,8 +14,9 @@ import textwrap
 import pytest
 
 from etl_ray.config import EngineConfig, TokensPayload
+from etl_ray.lake import read_lake
 from etl_ray.pipelines.compaction import compact
-from etl_ray.pipelines.replay import replay
+from etl_ray.pipelines.replay import recover_quarantine, replay, replay_once
 from etl_ray.sources.generator import generate_changelog
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -30,7 +32,7 @@ _LOW_CPU_SCRIPT = textwrap.dedent("""
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
     from etl_ray.config import EngineConfig, TokensPayload
-    from etl_ray.lake import bootstrap, read_lake
+    from etl_ray.lake import bootstrap
     from etl_ray.pipelines.compaction import compact
     from etl_ray.pipelines.replay import recover_quarantine, replay
     from etl_ray.sources.generator import generate_base, generate_changelog
@@ -42,13 +44,9 @@ _LOW_CPU_SCRIPT = textwrap.dedent("""
     generate_changelog(wal, n_events=600, n_segments=3, n_base_docs=100,
                        seed=6, vocab=100, max_tok=32, corrupt_frac=0.02)
 
-    def cfg(vocab, **kw):
+    def cfg(vocab):
         return EngineConfig(num_partitions=4, max_salt=2, batch_size=128,
-                            payload=TokensPayload(vocab_size=vocab), **kw)
-
-    def state(lake):
-        df = read_lake(lake, include_seq=True).to_pandas()
-        return df.sort_values("doc_id").reset_index(drop=True)
+                            payload=TokensPayload(vocab_size=vocab))
 
     lake = os.path.join(tmp, "lake")
     bootstrap(base, lake, cfg(100))
@@ -56,11 +54,6 @@ _LOW_CPU_SCRIPT = textwrap.dedent("""
     assert replay(wal, lake, cfg(99))
     assert recover_quarantine(lake, cfg(100)) is not None
     assert compact(lake, cfg(100), force=True)["compacted_partitions"] > 0
-
-    lake_sort = os.path.join(tmp, "lake_sort")
-    bootstrap(base, lake_sort, cfg(100))
-    assert replay(wal, lake_sort, cfg(100, exchange="sort"))
-    assert state(lake).equals(state(lake_sort))
     print("OK")
 """)
 
@@ -80,6 +73,36 @@ def test_apply_paths_finish_on_small_clusters(tmp_path, cpus):
         proc.communicate()
         pytest.fail(f"apply paths did not finish in 300 s at {cpus} CPUs")
     assert proc.returncode == 0 and out.rstrip().endswith("OK"), out[-3000:]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_commit_path_plans_no_ray_data(tmp_wal, tmp_path, monkeypatch):
+    """Replay, quarantine recovery and compaction dispatch plain Ray tasks:
+    with Ray Data's entry points raising on the driver, all three finish."""
+    import ray.data as rd
+
+    def planned(*args, **kwargs):
+        raise AssertionError("Ray Data pipeline planned on the driver")
+
+    monkeypatch.setattr(rd, "from_items", planned)
+    monkeypatch.setattr(rd, "read_parquet", planned)
+    monkeypatch.setattr(rd.Dataset, "map_batches", planned)
+    monkeypatch.setattr(rd.Dataset, "groupby", planned)
+    generate_changelog(tmp_wal, n_events=600, n_segments=3, seed=6,
+                       vocab=100, max_tok=32, corrupt_frac=0.02)
+    lake = str(tmp_path / "lake")
+
+    def cfg(vocab):
+        return EngineConfig(num_partitions=4, max_salt=2, batch_size=128,
+                            payload=TokensPayload(vocab_size=vocab))
+
+    # vocab 99 quarantines every event carrying token 99
+    assert replay_once(tmp_wal, lake, cfg(99)).quarantined > 0
+    assert recover_quarantine(lake, cfg(100)) is not None
+    assert compact(lake, cfg(100), force=True)["compacted_partitions"] > 0
+    # the patches are live: the read path does plan a Ray Data pipeline
+    with pytest.raises(AssertionError, match="planned on the driver"):
+        read_lake(lake)
 
 
 def _manifests(lake: str) -> list:

@@ -1,6 +1,7 @@
 """Time travel: historical manifest versions reconstruct past snapshots;
 gc keeps history-referenced files; prune retires it (VACUUM analog)."""
 
+import json
 import os
 
 import pytest
@@ -45,6 +46,35 @@ def test_time_travel_reconstructs_past_versions(tmp_wal, tmp_lake):
     assert read_lake(tmp_lake, version=0).count() == 0
     # default read = latest
     assert state(tmp_lake).equals(state(tmp_lake, version=3))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_indented_manifest_versions_still_load(tmp_wal, tmp_lake):
+    """Manifests are written compact; versions written indented (the
+    earlier encoding) must still load, time-travel and take a new commit
+    on top."""
+    paths = generate_changelog(tmp_wal, n_events=900, n_segments=3, seed=62,
+                               vocab=VOCAB)
+    replay(tmp_wal, tmp_lake, cfg(), segments_per_commit=1, max_commits=2)
+    mdir = os.path.join(tmp_lake, "_manifest")
+    before = {v: state(tmp_lake, version=v) for v in (1, 2)}
+    for v in (1, 2):
+        path = os.path.join(mdir, f"v{v}.json")
+        with open(path) as fh:
+            d = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(d, fh, indent=1, sort_keys=True)
+    for v in (1, 2):
+        assert state(tmp_lake, version=v).equals(before[v])
+    replay(tmp_wal, tmp_lake, cfg())
+    assert Manifest.load(tmp_lake).version == 3
+    with open(os.path.join(mdir, "v3.json")) as fh:
+        assert "\n" not in fh.read()
+    got = state(tmp_lake)
+    exp = oracle_replay(paths, vocab=VOCAB).to_pandas().sort_values(
+        "doc_id").reset_index(drop=True)
+    assert list(got["doc_id"]) == list(exp["doc_id"])
+    assert list(got["sequence_number"]) == list(exp["sequence_number"])
 
 
 @pytest.mark.usefixtures("ray_session")
