@@ -258,7 +258,8 @@ class EngineConfig:
     max_salt: int = 8
     salt_threshold: int = 250_000
     batch_size: int = 8192
-    # cap on commit-stage tasks in flight; None → twice the cluster CPUs
+    # at most this many tasks per commit stage, each taking a contiguous
+    # slice of the stage's descriptors; None → twice the cluster CPUs
     apply_concurrency: Optional[int] = None
     compact_min_deltas: int = 4
     # above this input size, compaction switches to the bounded-memory

@@ -1,10 +1,13 @@
 """Lake read path (merge-on-read) and bootstrap.
 
 Reading is embarrassingly parallel and involves NO shuffle: the lake is
-already hash-partitioned by doc_id, so each read task merges exactly one
-partition's base+delta runs (LWW by sequence_number, tombstones dropped).
-The work-list (one descriptor per partition) is scouted driver-side from the
-manifest; the data moves only inside distributed tasks.
+already hash-partitioned by doc_id, so each partition's base+delta runs are
+merged on their own (LWW by sequence_number, tombstones dropped). The
+work-list (one descriptor per partition) is scouted driver-side from the
+manifest and packed into at most two read tasks per cluster CPU
+(``util.task_count``); each task merges its partitions one at a time, so
+memory per call is still one partition. The data moves only inside
+distributed tasks.
 """
 
 from __future__ import annotations
@@ -22,6 +25,19 @@ from etl_ray.stages.merge import merge_runs
 from etl_ray.state.manifest import Manifest
 
 CONTROL_DROP = ["op", "__reason", "__shard"]
+
+
+def read_file(path: str, columns: Optional[List[str]] = None) -> pa.Table:
+    """One lake Parquet file, opened once. With ``columns``, reads the ones
+    the file has: older files may predate evolved columns, and conform (in
+    merge_runs) null-fills what is missing. ``ParquetFile.read`` skips
+    ``pq.read_table``'s dataset layer, which costs more than the decode on
+    a lake of small delta files."""
+    with pq.ParquetFile(path) as f:
+        if columns is not None:
+            avail = set(f.schema_arrow.names)
+            columns = [c for c in columns if c in avail]
+        return f.read(columns=columns)
 
 
 class MergeRead:
@@ -50,21 +66,13 @@ class MergeRead:
             self.read_columns = None
             self.read_schema = self.schema
 
-    def _read(self, path: str) -> pa.Table:
-        if self.read_columns is None:
-            return pq.read_table(path)
-        # older files may predate evolved columns — intersect per file;
-        # conform (in merge_runs) null-fills what's missing
-        avail = set(pq.read_schema(path).names)
-        cols = [c for c in self.read_columns if c in avail]
-        return pq.read_table(path, columns=cols)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         outs = []
         for row in batch.to_pylist():
             files = row["files"]
             tables = [
-                self._read(os.path.join(self.lake_dir, f)) for f in files
+                read_file(os.path.join(self.lake_dir, f), self.read_columns)
+                for f in files
             ]
             merged = merge_runs(
                 tables, drop_deletes=True, target_schema=self.read_schema
@@ -96,24 +104,26 @@ def read_lake(
     columns: Optional[List[str]] = None,
     version: Optional[int] = None,
 ):
-    """Committed state of the lake as a ``ray.data.Dataset`` (one block per
-    partition; streaming merge-on-read, no shuffle). ``version`` reads a
+    """Committed state of the lake as a lazy ``ray.data.Dataset``
+    (streaming merge-on-read, no shuffle): at most two read tasks per
+    cluster CPU, each taking a contiguous slice of the partitions and
+    merging them one per call. ``version`` reads a
     HISTORICAL snapshot (time travel) — any past manifest version
     reconstructs exactly, since data files are immutable once listed and
     only ``gc()`` removes superseded ones."""
     import ray.data as rd
 
-    from etl_ray.util import descriptor_dataset
+    from etl_ray.util import descriptor_dataset, task_count
 
     manifest = Manifest.load(lake_dir, version=version)
     descs = partition_descriptors(manifest)
     if not descs:
         schema = manifest.schema or pa.schema([pa.field("doc_id", pa.string())])
         return rd.from_arrow(schema.empty_table())
-    return descriptor_dataset(descs).map_batches(
+    return descriptor_dataset(descs, task_count(len(descs))).map_batches(
         MergeRead(lake_dir, manifest.schema_hex, include_seq, columns),
         batch_format="pyarrow",
-        batch_size=1,  # one descriptor per task (see util.descriptor_dataset)
+        batch_size=1,  # one partition per call (see util.descriptor_dataset)
     )
 
 

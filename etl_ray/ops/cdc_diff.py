@@ -8,8 +8,10 @@ standard way to feed a downstream consumer incrementally.
 
 Scale shape: both versions share the SAME doc_id hash partitioning
 (partition count is fixed at lake creation, manifest.num_partitions), so
-the diff is embarrassingly parallel — one task merges partition p at
-v_from AND at v_to and compares; NO shuffle, no cross-partition traffic.
+the diff is embarrassingly parallel — one call merges partition p at
+v_from AND at v_to and compares (at most two tasks per cluster CPU, each
+diffing a contiguous slice of partitions); NO shuffle, no cross-partition
+traffic.
 Unchanged docs are detected by sequence_number equality (sequence numbers
 are unique per event, so any change to a doc changes its winning seq) and
 never leave the task.
@@ -23,8 +25,8 @@ from typing import List, Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
+from etl_ray.lake import read_file
 from etl_ray.stages.merge import merge_runs
 from etl_ray.state.manifest import Manifest
 
@@ -82,9 +84,7 @@ class DiffPartition:
             arrays, names=[n for n, _ in self.out_fields])
 
     def _state(self, files: List[str], schema: pa.Schema) -> pa.Table:
-        tables = [
-            pq.read_table(os.path.join(self.lake_dir, f)) for f in files
-        ]
+        tables = [read_file(os.path.join(self.lake_dir, f)) for f in files]
         if not tables:
             return schema.empty_table()
         return merge_runs(tables, drop_deletes=True, target_schema=schema)
@@ -138,10 +138,11 @@ def lake_diff(lake_dir: str, *, from_version: int,
     """Change-event stream between two committed versions of a lake, as a
     ``ray.data.Dataset`` with columns (doc_id, change_op, sequence_number,
     <payload...>). ``sequence_number`` is the winning seq at ``to_version``
-    (null for deletes). One block per partition, no shuffle."""
+    (null for deletes). One call per partition, at most two tasks per
+    cluster CPU, no shuffle."""
     import ray.data as rd
 
-    from etl_ray.util import descriptor_dataset
+    from etl_ray.util import descriptor_dataset, task_count
 
     m_from = Manifest.load(lake_dir, version=from_version)
     m_to = Manifest.load(lake_dir, version=to_version)
@@ -160,7 +161,7 @@ def lake_diff(lake_dir: str, *, from_version: int,
             "change_op": pa.array([], pa.string()),
             "sequence_number": pa.array([], pa.float64()),
         }))
-    return descriptor_dataset(descs).map_batches(
+    return descriptor_dataset(descs, task_count(len(descs))).map_batches(
         DiffPartition(lake_dir, m_from.schema_hex, m_to.schema_hex,
                       include_old=include_old),
         batch_format="pyarrow",

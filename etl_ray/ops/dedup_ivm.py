@@ -28,7 +28,9 @@ files (columns doc_id, sequence_number, sig: binary of num_perm uint64
 little-endian) plus a ``meta.json`` recording the as-of version and the
 per-partition file list (which may reference older version dirs for
 carried-forward partitions). Writes are tmp+rename atomic, meta flip last
-— a crash mid-refresh leaves the previous consistent index.
+— a crash mid-refresh leaves the previous consistent index. After the flip,
+signature files the new meta does not reference are removed, so the index
+stays one file per partition however many refreshes run.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from etl_ray.lake import read_file
 from etl_ray.state.manifest import Manifest
 
 _META = "meta.json"
@@ -89,15 +92,9 @@ class _SigPartition:
     def _live(self, files: List[str]) -> pa.Table:
         from etl_ray.stages.merge import merge_runs
 
-        want = ("doc_id", "sequence_number", "op", self.text_col)
-        tables = []
-        for f in files:
-            full = os.path.join(self.lake_dir, f)
-            # older-schema files may lack evolved columns; conform (in
-            # merge_runs) null-fills what the file doesn't have
-            avail = set(pq.read_schema(full).names)
-            tables.append(pq.read_table(
-                full, columns=[c for c in want if c in avail]))
+        want = ["doc_id", "sequence_number", "op", self.text_col]
+        tables = [read_file(os.path.join(self.lake_dir, f), want)
+                  for f in files]
         if not tables:
             return pa.schema([
                 pa.field("doc_id", pa.string()),
@@ -126,7 +123,7 @@ class _SigPartition:
             live = live.sort_values("doc_id").reset_index(drop=True)
             n_reused = 0
             if row["old_sig_file"]:
-                old = pq.read_table(os.path.join(
+                old = read_file(os.path.join(
                     self.lake_dir, row["old_sig_file"])).to_pandas()
                 j = live.merge(old, on="doc_id", how="left",
                                suffixes=("", "_old"))
@@ -167,11 +164,33 @@ class _SigPartition:
         ]))
 
 
+def _sweep_unreferenced(lake_dir: str, name: str, files: dict) -> None:
+    """Remove the signature files under ``_views/<name>/v*/`` that ``files``
+    (the committed meta's map) does not reference, then the emptied version
+    dirs. Runs after the meta flip, so a crash here only leaves garbage for
+    the next refresh to collect."""
+    d = _index_dir(lake_dir, name)
+    keep = {os.path.normpath(os.path.join(lake_dir, f))
+            for f in files.values()}
+    for v in os.listdir(d):
+        vdir = os.path.join(d, v)
+        if not (v.startswith("v") and os.path.isdir(vdir)):
+            continue
+        for f in os.listdir(vdir):
+            path = os.path.normpath(os.path.join(vdir, f))
+            if path not in keep:
+                os.remove(path)
+        if not os.listdir(vdir):
+            os.rmdir(vdir)
+
+
 def _run_partitions(lake_dir: str, name: str, descs: List[dict],
                     manifest: Manifest, carried: dict, params: dict) -> dict:
-    """Fan the dirty-partition descriptors out, then commit the meta that
-    maps every partition to its (new or carried-forward) signature file."""
-    from etl_ray.util import descriptor_dataset
+    """Fan the dirty-partition descriptors out (at most two tasks per
+    cluster CPU, one call per partition), commit the meta that maps every
+    partition to its (new or carried-forward) signature file, then sweep
+    the signature files it no longer references."""
+    from etl_ray.util import descriptor_dataset, task_count
 
     out_dir = os.path.join("_views", name, f"v{manifest.version}")
     stats = {"as_of": manifest.version, "n_parts": len(manifest.partitions),
@@ -179,7 +198,7 @@ def _run_partitions(lake_dir: str, name: str, descs: List[dict],
              "n_docs": 0}
     files = dict(carried)
     if descs:
-        res = descriptor_dataset(descs).map_batches(
+        res = descriptor_dataset(descs, task_count(len(descs))).map_batches(
             _SigPartition(lake_dir, manifest.schema_hex, out_dir,
                           params["text_col"], params["num_perm"],
                           params["shingle_n"], params["seed"]),
@@ -196,6 +215,7 @@ def _run_partitions(lake_dir: str, name: str, descs: List[dict],
                 for k, p in manifest.partitions.items()},
             **params}
     _write_meta(lake_dir, name, meta)
+    _sweep_unreferenced(lake_dir, name, files)
     return stats
 
 

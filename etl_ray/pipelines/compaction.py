@@ -7,7 +7,8 @@ tombstones (safe: every live file of the partition participates), and
 commits a new manifest that swaps the file list atomically. Deterministic
 file names (gen = new manifest version) make a crashed compaction replayable.
 
-No shuffle: the lake is already partitioned; one task per partition.
+No shuffle: the lake is already partitioned; at most two tasks per cluster
+CPU, each compacting a contiguous slice of the partitions one at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from etl_ray.config import EngineConfig
+from etl_ray.lake import read_file
 from etl_ray.stages.merge import merge_runs
 from etl_ray.state.manifest import Manifest
 
@@ -67,7 +69,7 @@ class CompactGroup:
                 except ValueError:
                     mode = "memory"  # stats missing → fall back
             if mode == "memory":
-                tables = [pq.read_table(p) for p in paths]
+                tables = [read_file(p) for p in paths]
                 merged = merge_runs(
                     tables, drop_deletes=True, target_schema=self.schema
                 )
@@ -99,8 +101,8 @@ def compact(
 ) -> dict:
     """Compact eligible partitions; returns a summary dict. ``force``
     compacts every partition that has any delta or >1 file.
-    ``concurrency`` caps the partition tasks in flight (default: twice the
-    cluster CPUs)."""
+    The partitions run in at most ``concurrency`` tasks (default: twice
+    the cluster CPUs), each compacting a contiguous slice of them."""
     config = config or EngineConfig()
     if min_deltas is None:
         min_deltas = config.compact_min_deltas
@@ -116,8 +118,9 @@ def compact(
     new_version = manifest.version + 1
     from etl_ray.util import map_descriptors
 
-    # one task per partition; CompactGroup is looked up on the module at
-    # call time so an instrumented subclass can stand in for it
+    # partitions packed into at most `concurrency` tasks; CompactGroup is
+    # looked up on the module at call time so an instrumented subclass can
+    # stand in for it
     stats = map_descriptors(
         CompactGroup(lake_dir, manifest.schema_hex, new_version,
                      config.compact_streaming_threshold_bytes,

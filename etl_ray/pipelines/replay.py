@@ -6,13 +6,13 @@ segments (the analog of the reference's one-task-per-archive lifecycle,
 active/poller.go:152-216).
 
 Pipeline (the storage exchange, stages/exchange.py — the engine's only
-hash partitioner; one plain Ray task per descriptor, dispatched by
-util.map_descriptors):
+hash partitioner; plain Ray tasks dispatched by util.map_descriptors, at
+most two per cluster CPU, each taking a contiguous slice of descriptors):
 
     rowgroup_descriptors(segments)        # one descriptor per WAL row group
-      → FragmentReadWriter task each      # decode + validate + bucket split
+      → FragmentReadWriter tasks          # decode + validate + bucket split
     bucket_descriptors(stage-1 stats)     # one descriptor per bucket
-      → ApplyBucket task each             # per-shard LWW apply, delta write
+      → ApplyBucket tasks                 # per-shard LWW apply, delta write
       → tiny per-shard stats table on the driver → atomic manifest commit
 
 The manifest flip is the commit's only barrier; the stage tasks carry no
@@ -97,9 +97,11 @@ def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
                             salted, pre_map=None) -> pa.Table:
     """Two-phase apply through the disk exchange (see stages/exchange.py).
 
-    Stage 1 runs one task per WAL row group (decode, ``pre_map``, validate,
-    bucket-split fragment write); stage 2 runs one task per bucket. Both
-    return tiny stats tables, gathered in submission order.
+    Stage 1 handles each WAL row group (decode, ``pre_map``, validate,
+    bucket-split fragment write); stage 2 each bucket. Each stage packs its
+    descriptors into at most ``apply_concurrency`` tasks (default: two per
+    cluster CPU); both return tiny stats tables, gathered in submission
+    order.
     """
     import ray
 

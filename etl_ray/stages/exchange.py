@@ -9,7 +9,7 @@ bucket files on shared storage, then per-bucket reducers — so the exchange
 doubles as the natural multi-node path (the exchange dir lives next to the
 lake on the shared filesystem / object store).
 
-  Stage 1 (one Ray task per WAL row group, stateless): validate each
+  Stage 1 (per WAL row group, stateless): validate each
     batch, sort rows by bucket = mix(shard) % n_buckets, write ONE fragment
     file per batch, ONE ROW GROUP (parquet) or RECORD BATCH (Arrow IPC) per
     bucket under ``<exchange>/frag-*`` (tmp+rename atomic). The returned
@@ -21,16 +21,17 @@ lake on the shared filesystem / object store).
     the bytes), raw IPC for RAM-backed exchange roots (near-zero
     encode/decode). IPC fragments split the payload: only the key columns
     are bucket-sorted; payload rows are written once, in arrival order.
-  Stage 2 (one Ray task per bucket): each task reads exactly its
+  Stage 2 (per bucket): each bucket reads exactly its
     row groups / record batches (row-group-granular parquet reads;
     memory-mapped zero-copy IPC) and runs the per-shard LWW apply
     (ApplyShards), pre-collapsing accumulated chunks per (__shard, doc_id)
     whenever they exceed ``apply_chunk_rows`` so a backlog bucket never
     materializes unbounded (max-by-seq is associative).
 
-Both stages are plain ``ray.remote`` tasks (``util.map_descriptors``); the
-driver gathers their stats tables in submission order, so manifests list
-files in a deterministic order.
+Both stages are plain ``ray.remote`` tasks (``util.map_descriptors``, at
+most two per cluster CPU, each looping over a contiguous slice of
+descriptors); the driver gathers their stats tables in submission order, so
+manifests list files in a deterministic order.
 
 Crash safety: a failed attempt's fragments are wiped at the start of the
 retry (the exchange dir is keyed by the deterministic commit_id), and even

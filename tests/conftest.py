@@ -1,6 +1,11 @@
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +33,31 @@ def tmp_lake(tmp_path):
     d = tmp_path / "lake"
     d.mkdir()
     return str(d)
+
+
+@pytest.fixture()
+def run_own_cluster(tmp_path):
+    """Run a script in its own process (so it can size its own Ray
+    cluster) as ``python -c script tmp_path cpus``; fail the test unless it
+    exits 0 and prints OK last within ``timeout`` seconds."""
+
+    def run(script: str, cpus: int, timeout: int = 300) -> None:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path), str(cpus)],
+            cwd=REPO, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True, start_new_session=True)
+        try:
+            out, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"did not finish in {timeout} s at {cpus} CPUs")
+        assert proc.returncode == 0 and out.rstrip().endswith("OK"), \
+            out[-3000:]
+
+    return run
 
 
 @pytest.fixture()

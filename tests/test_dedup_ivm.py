@@ -110,6 +110,57 @@ def test_clean_partitions_carried_forward_by_reference(ray_session):
     assert sig.loc[sig.doc_id == "7", "sequence_number"].iloc[0] == 1000
 
 
+def test_refreshes_keep_only_referenced_signature_files(ray_session,
+                                                        tmp_path):
+    # each refresh writes a new v<V>/ dir for its dirty partition; the
+    # files the new meta no longer references must go, or _views/ grows
+    # with every refresh
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from etl_ray.config import EngineConfig
+    from etl_ray.ops.dedup_ivm import (_index_dir, _load_meta,
+                                       build_signature_index,
+                                       refresh_signature_index)
+    from etl_ray.pipelines import analogs as A
+    from etl_ray.pipelines.replay import replay
+
+    wal, lake_dir = str(tmp_path / "wal"), str(tmp_path / "lake")
+    os.makedirs(wal)
+
+    def segment(n, ops, ids, seqs, texts):
+        pq.write_table(pa.table({
+            "op": pa.array(ops),
+            "doc_id": pa.array(ids, pa.string()),
+            "sequence_number": pa.array(seqs, pa.int64()),
+            "text": pa.array(texts),
+        }), os.path.join(wal, f"seg-{n:05d}.parquet"))
+
+    ids = [str(i) for i in range(64)]
+    segment(0, ["insert"] * 64, ids, range(64),
+            [f"alpha beta gamma delta {i}" for i in ids])
+    cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
+                       payload=A.docs_payload())
+    replay(wal, lake_dir, cfg)
+    build_signature_index(lake_dir, name="sweep")
+    for n, doc in enumerate(["7", "12", "7"], start=1):
+        segment(n, ["update"], [doc], [1000 + n],
+                [f"epsilon zeta eta theta {n}"])
+        replay(wal, lake_dir, cfg)
+        assert refresh_signature_index(
+            lake_dir, name="sweep")["n_parts_dirty"] == 1
+        d = _index_dir(lake_dir, "sweep")
+        on_disk = {os.path.relpath(os.path.join(root, f), lake_dir)
+                   for root, _, fs in os.walk(d) for f in fs
+                   if root != d}
+        assert on_disk == set(_load_meta(lake_dir, "sweep")["files"].values())
+        assert all(os.listdir(os.path.join(d, v)) for v in os.listdir(d)
+                   if os.path.isdir(os.path.join(d, v)))
+    build_signature_index(lake_dir, name="sweep_fresh")
+    pd.testing.assert_frame_equal(_long(lake_dir, "sweep"),
+                                  _long(lake_dir, "sweep_fresh"))
+
+
 def test_signatures_long_matches_blobs(lake):
     from etl_ray.ops.dedup_ivm import (build_signature_index,
                                        read_signature_index)

@@ -6,9 +6,6 @@ lists in the same order)."""
 import glob
 import json
 import os
-import signal
-import subprocess
-import sys
 import textwrap
 
 import pytest
@@ -18,8 +15,6 @@ from etl_ray.lake import read_lake
 from etl_ray.pipelines.compaction import compact
 from etl_ray.pipelines.replay import recover_quarantine, replay, replay_once
 from etl_ray.sources.generator import generate_changelog
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Runs in its own process so it can size its own Ray cluster. Each path
 # used to hang at 1-2 CPUs behind an actor pool that held every CPU the
@@ -59,20 +54,8 @@ _LOW_CPU_SCRIPT = textwrap.dedent("""
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_apply_paths_finish_on_small_clusters(tmp_path, cpus):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = REPO + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _LOW_CPU_SCRIPT, str(tmp_path), str(cpus)],
-        cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, start_new_session=True)
-    try:
-        out, _ = proc.communicate(timeout=300)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail(f"apply paths did not finish in 300 s at {cpus} CPUs")
-    assert proc.returncode == 0 and out.rstrip().endswith("OK"), out[-3000:]
+def test_apply_paths_finish_on_small_clusters(run_own_cluster, cpus):
+    run_own_cluster(_LOW_CPU_SCRIPT, cpus)
 
 
 @pytest.mark.usefixtures("ray_session")
