@@ -8,6 +8,22 @@ manifest and packed into at most two read tasks per cluster CPU
 (``util.task_count``); each task merges its partitions one at a time, so
 memory per call is still one partition. The data moves only inside
 distributed tasks.
+
+Lake file format: every Parquet file the engine writes into the lake
+(deltas, quarantine files, compacted and bootstrap bases, signature files)
+goes through ``write_file``, and the stage-1 exchange fragments and the
+streaming compaction writer take the same ``write_options``. The encoding
+follows from the Arrow schema alone: dictionary encoding only on string
+and Arrow dictionary columns other than ``doc_id``;
+``DELTA_BINARY_PACKED`` on integer columns and integer list elements
+(``sequence_number``, ``n_tok``, ``tokens.list.element``); everything
+else plain. pyarrow's default dictionary-encodes every column, but token
+ids are drawn from a ~50k vocabulary, so a base file's token dictionary
+held ~37k distinct ids for ~66k values: the dictionary page was half the
+column chunk and building it was most of the write. ``doc_id`` is unique
+within every file, so a dictionary on it is pure overhead. Not
+``BYTE_STREAM_SPLIT``: DuckDB 1.0 reads it only for FLOAT/DOUBLE, while
+it reads ``DELTA_BINARY_PACKED``.
 """
 
 from __future__ import annotations
@@ -25,6 +41,38 @@ from etl_ray.stages.merge import merge_runs
 from etl_ray.state.manifest import Manifest
 
 CONTROL_DROP = ["op", "__reason", "__shard"]
+
+
+def write_options(schema: pa.Schema) -> dict:
+    """``use_dictionary`` and ``column_encoding`` keywords for
+    ``pq.write_table`` / ``pq.ParquetWriter``, derived from ``schema``
+    (rule in the module docstring). The codec is left to the caller."""
+    dict_cols: List[str] = []
+    encodings: dict = {}
+
+    def walk(path: str, t: pa.DataType) -> None:
+        if pa.types.is_integer(t):
+            encodings[path] = "DELTA_BINARY_PACKED"
+        elif path == "doc_id":
+            pass  # plain, even where a fragment dictionary-encoded it
+        elif (pa.types.is_dictionary(t) or pa.types.is_string(t)
+              or pa.types.is_large_string(t)):
+            dict_cols.append(path)
+        elif pa.types.is_list(t) or pa.types.is_large_list(t):
+            walk(path + ".list.element", t.value_type)
+
+    for f in schema:
+        walk(f.name, f.type)
+    return {"use_dictionary": dict_cols, "column_encoding": encodings}
+
+
+def write_file(table: pa.Table, path: str) -> None:
+    """Write one lake Parquet file atomically (tmp + rename), creating its
+    directory, in the lake file format."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    pq.write_table(table, tmp, **write_options(table.schema))
+    os.replace(tmp, path)
 
 
 def read_file(path: str, columns: Optional[List[str]] = None) -> pa.Table:
@@ -164,11 +212,7 @@ def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
         out = group.drop_columns(["__part"]).sort_by(
             [("doc_id", "ascending")])
         rel = os.path.join(f"part={part}", f"base-g1-p{part}.parquet")
-        path = os.path.join(lake_dir, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        pq.write_table(out, tmp)
-        os.replace(tmp, path)
+        write_file(out, os.path.join(lake_dir, rel))
         return pa.table(
             {"part": [part], "rows": [len(out)], "file": [rel],
              "max_seq": [-1]}

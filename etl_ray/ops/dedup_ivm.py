@@ -42,9 +42,8 @@ from typing import List, Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-from etl_ray.lake import read_file
+from etl_ray.lake import read_file, write_file
 from etl_ray.state.manifest import Manifest
 
 _META = "meta.json"
@@ -141,8 +140,6 @@ class _SigPartition:
                 sig[todo] = self._signature_blobs(
                     live[self.text_col][todo])
             rel = os.path.join(self.out_dir, f"part-{part:05d}.parquet")
-            full = os.path.join(self.lake_dir, rel)
-            os.makedirs(os.path.dirname(full), exist_ok=True)
             t = pa.table({
                 "doc_id": pa.array(live["doc_id"], pa.string()),
                 "sequence_number": pa.array(
@@ -150,9 +147,7 @@ class _SigPartition:
                     pa.int64()),
                 "sig": pa.array(list(sig), pa.binary()),
             })
-            tmp = full + ".tmp"
-            pq.write_table(t, tmp)
-            os.replace(tmp, full)
+            write_file(t, os.path.join(self.lake_dir, rel))
             out.append({"part": part, "file": rel, "n_docs": len(live),
                         "n_recomputed": int(len(live) - n_reused),
                         "n_reused": n_reused})

@@ -6,6 +6,9 @@ dedups (LWW) base ∪ deltas into ``base-g<gen>-p<k>.parquet``, DROPS
 tombstones (safe: every live file of the partition participates), and
 commits a new manifest that swaps the file list atomically. Deterministic
 file names (gen = new manifest version) make a crashed compaction replayable.
+A partition that fits in memory is merged whole and written by
+``lake.write_file``; a larger one streams through
+``stages/streaming_merge.py`` in the same lake file format.
 
 No shuffle: the lake is already partitioned; at most two tasks per cluster
 CPU, each compacting a contiguous slice of the partitions one at a time.
@@ -18,10 +21,9 @@ import time
 from typing import Optional
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from etl_ray.config import EngineConfig
-from etl_ray.lake import read_file
+from etl_ray.lake import read_file, write_file
 from etl_ray.stages.merge import merge_runs
 from etl_ray.state.manifest import Manifest
 
@@ -48,23 +50,23 @@ class CompactGroup:
                 f"part={part}", f"base-g{self.new_gen}-p{part}.parquet"
             )
             path = os.path.join(self.lake_dir, rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + ".tmp"
             total_bytes = sum(os.path.getsize(p) for p in paths)
             mode = "memory"
             if total_bytes > self.streaming_threshold_bytes:
                 # bounded-memory range-sliced sort-merge (scale path for
-                # partitions larger than a worker heap)
+                # partitions larger than a worker heap); the output lands
+                # in the partition's own directory, beside its inputs
                 from etl_ray.stages.streaming_merge import (
                     streaming_merge_files,
                 )
 
                 try:
                     n = streaming_merge_files(
-                        paths, tmp, target_schema=self.schema,
+                        paths, path + ".tmp", target_schema=self.schema,
                         drop_deletes=True, drop_columns=["op"],
                         rows_per_range=self.rows_per_range,
                     )
+                    os.replace(path + ".tmp", path)
                     mode = "streaming"
                 except ValueError:
                     mode = "memory"  # stats missing → fall back
@@ -75,9 +77,8 @@ class CompactGroup:
                 )
                 if "op" in merged.column_names:
                     merged = merged.drop_columns(["op"])
-                pq.write_table(merged, tmp)
+                write_file(merged, path)
                 n = len(merged)
-            os.replace(tmp, path)
             rows.append(
                 {
                     "part": part,

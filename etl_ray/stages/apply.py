@@ -13,7 +13,9 @@ ApplyBucket). Each call receives every event routed to its shards
   3. returns a one-row stats table (lineage + per-partition rows/sec).
 
 The quarantine shard instead writes ``_quarantine/<commit>.parquet`` keeping
-the ``__reason`` column (poison events preserved, never applied).
+the ``__reason`` column (poison events preserved, never applied). Both kinds
+of file are written by ``lake.write_file`` (tmp + rename, in the lake file
+format).
 
 Apply never reads the base — pure LSM delta write; merge cost is deferred to
 read/compaction. This keeps the hot path O(events) regardless of lake size.
@@ -26,9 +28,10 @@ import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from etl_ray.config import QUARANTINE_SHARD, EngineConfig
+from etl_ray.lake import write_file
+
 STATS_SCHEMA = pa.schema(
     [
         pa.field("shard", pa.int64()),
@@ -68,13 +71,6 @@ def _gather_rows(tables, gidx) -> pa.Table:
     inv = np.empty(len(ord2), np.int64)
     inv[ord2] = np.arange(len(ord2))
     return g.take(pa.array(inv))
-
-
-def _atomic_write(table: pa.Table, path: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    pq.write_table(table, tmp)
-    os.replace(tmp, path)
 
 
 class ApplyShards:
@@ -175,7 +171,7 @@ class ApplyShards:
             zero_copy_only=False)[idx]
         out = block.drop_columns(["__shard"]).take(
             pa.array(idx[np.argsort(seq, kind="stable")]))
-        _atomic_write(out, os.path.join(self.lake_dir, rel))
+        write_file(out, os.path.join(self.lake_dir, rel))
         return pa.table(
             {
                 "shard": [QUARANTINE_SHARD], "part": [-1], "salt": [0],
@@ -198,7 +194,7 @@ class ApplyShards:
         rel = os.path.join(
             f"part={part}", f"delta-{self.commit_id}-p{part}-s{salt}.parquet"
         )
-        _atomic_write(delta, os.path.join(self.lake_dir, rel))
+        write_file(delta, os.path.join(self.lake_dir, rel))
         return pa.table(
             {
                 "shard": [shard], "part": [part], "salt": [salt],

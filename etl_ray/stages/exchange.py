@@ -17,10 +17,11 @@ lake on the shared filesystem / object store).
     per-bucket directories and no small-file storm: fragment file count ==
     batch count, not batch x bucket (the round-1 layout peaked at ~15k
     tiny files per commit at sf0.1; this writes ~60). Container format per
-    ``EngineConfig.exchange_format``: lz4 parquet for disk/shared-fs (half
-    the bytes), raw IPC for RAM-backed exchange roots (near-zero
-    encode/decode). IPC fragments split the payload: only the key columns
-    are bucket-sorted; payload rows are written once, in arrival order.
+    ``EngineConfig.exchange_format``: lz4 parquet in the lake file format
+    (``lake.write_options``) for disk/shared-fs (half the bytes), raw IPC
+    for RAM-backed exchange roots (near-zero encode/decode). IPC fragments
+    split the payload: only the key columns are bucket-sorted; payload
+    rows are written once, in arrival order.
   Stage 2 (per bucket): each bucket reads exactly its
     row groups / record batches (row-group-granular parquet reads;
     memory-mapped zero-copy IPC) and runs the per-shard LWW apply
@@ -52,6 +53,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from etl_ray.config import QUARANTINE_SHARD, EngineConfig
+from etl_ray.lake import write_options
 from etl_ray.stages.validate import Validator
 
 EXCHANGE_DIR = "_exchange"
@@ -172,7 +174,8 @@ class FragmentWriter:
     def _write_parquet(self, path: str, table: pa.Table, bucket_ids, starts,
                        ends, record) -> None:
         with pq.ParquetWriter(path + ".tmp", table.schema,
-                              compression=FRAGMENT_CODEC) as w:
+                              compression=FRAGMENT_CODEC,
+                              **write_options(table.schema)) as w:
             for rg, (s, e) in enumerate(zip(starts, ends)):
                 piece = table.slice(int(s), int(e - s))
                 w.write_table(piece, row_group_size=len(piece))

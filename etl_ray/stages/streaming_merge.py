@@ -11,7 +11,8 @@ as a RANGE-SLICED streaming merge instead:
      minima, coarsened so one range ≈ ``rows_per_range`` rows.
   3. For each range [lo, hi): read only the matching rows from every input
      (predicate pushdown prunes row groups), LWW-merge in memory, append to
-     a single ParquetWriter — the output is again globally sorted by doc_id.
+     a single ParquetWriter (in the lake file format, ``lake.write_options``)
+     — the output is again globally sorted by doc_id.
 
 Memory is bounded by the widest range, not the partition. Ranges are
 processed sequentially inside one compaction task; partitions still compact
@@ -26,6 +27,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from etl_ray.lake import write_options
 from etl_ray.stages.merge import merge_runs
 
 
@@ -95,7 +97,8 @@ def streaming_merge_files(
     if drop_columns:
         out_schema = pa.schema(
             [f for f in target_schema if f.name not in drop_columns])
-    writer = pq.ParquetWriter(out_path, out_schema)
+    writer = pq.ParquetWriter(out_path, out_schema,
+                              **write_options(out_schema))
     total = 0
     try:
         for lo, hi in zip(edges[:-1], edges[1:]):

@@ -138,14 +138,22 @@ class Manifest:
         Delta-Lake-style log-of-versions pattern the atomic-CURRENT design
         buys for free. Compaction keeps old generations' files on disk
         until ``gc()``; time travel across a gc'd boundary raises on read.
+        A ``version`` above CURRENT raises ``ValueError``: its
+        ``v<N>.json`` may exist, written by a commit that crashed before
+        the CURRENT flip, but it was never committed.
         """
         current = os.path.join(lake_dir, MANIFEST_DIR, "CURRENT")
-        if version is None:
-            if not os.path.exists(current):
-                return Manifest(lake_dir=lake_dir)
+        committed = 0
+        if os.path.exists(current):
             with open(current) as f:
-                version = int(f.read().strip())
-        elif version == 0:
+                committed = int(f.read().strip())
+        if version is None:
+            version = committed
+        elif not 0 <= version <= committed:
+            raise ValueError(
+                f"version {version} is not committed (CURRENT is "
+                f"{committed})")
+        if version == 0:
             return Manifest(lake_dir=lake_dir)
         with open(os.path.join(lake_dir, MANIFEST_DIR, f"v{version}.json")) as f:
             d = json.load(f)

@@ -68,3 +68,33 @@ def tmp_wal(tmp_path):
 
 
 SF_DIR = os.environ.get("GRAFT_TEST_SF_DIR", "/root/testdata/sf0.001")
+
+
+@pytest.fixture()
+def assert_lake_format():
+    """Check one engine-written Parquet file against the lake file format
+    (``etl_ray.lake.write_options``): ``doc_id`` has no dictionary page,
+    and ``tokens.list.element`` and ``sequence_number``, where present, are
+    ``DELTA_BINARY_PACKED`` with no dictionary page. Returns the column
+    paths the file holds."""
+    import pyarrow.parquet as pq
+
+    def check(path: str) -> set:
+        md = pq.ParquetFile(path).metadata
+        assert md.num_row_groups > 0, path
+        cols = set()
+        for rg in range(md.num_row_groups):
+            for i in range(md.num_columns):
+                c = md.row_group(rg).column(i)
+                name = c.path_in_schema
+                cols.add(name)
+                if name in ("doc_id", "tokens.list.element",
+                            "sequence_number"):
+                    assert not c.has_dictionary_page, (path, name)
+                if name in ("tokens.list.element", "sequence_number"):
+                    assert "DELTA_BINARY_PACKED" in c.encodings, \
+                        (path, name, c.encodings)
+        assert "doc_id" in cols, path
+        return cols
+
+    return check

@@ -11,12 +11,13 @@ SF = os.environ.get("GRAFT_TEST_SF_DIR", "/root/testdata/sf0.001")
 
 
 @pytest.fixture(scope="module")
-def lake(ray_session):
+def lake(ray_session, tmp_path_factory):
     from etl_ray.config import EngineConfig
     from etl_ray.pipelines import analogs as A
     from etl_ray.pipelines.replay import replay
 
-    wal, lake_dir = A.fresh_dirs("sigivm_t")
+    root = tmp_path_factory.mktemp("sigivm_t")
+    wal, lake_dir = str(root / "wal"), str(root / "lake")
     A.docs_to_changelog(SF, wal)
     cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
                        payload=A.docs_payload())
@@ -51,6 +52,17 @@ def test_incremental_equals_full_rebuild(lake):
     assert s["n_docs"] + int((ids % 7 == 0).sum()) == len(ids)
 
 
+def test_signature_files_use_the_lake_format(lake, assert_lake_format):
+    from etl_ray.ops.dedup_ivm import _load_meta, build_signature_index
+
+    build_signature_index(lake, name="fmt")
+    files = _load_meta(lake, "fmt")["files"]
+    assert files
+    for rel in files.values():
+        assert "sequence_number" in assert_lake_format(
+            os.path.join(lake, rel))
+
+
 def test_refresh_is_noop_at_head(lake):
     from etl_ray.ops.dedup_ivm import (build_signature_index,
                                        refresh_signature_index)
@@ -60,7 +72,8 @@ def test_refresh_is_noop_at_head(lake):
     assert s["n_parts_dirty"] == 0 and s["n_recomputed"] == 0
 
 
-def test_clean_partitions_carried_forward_by_reference(ray_session):
+def test_clean_partitions_carried_forward_by_reference(ray_session,
+                                                      tmp_path_factory):
     # a commit that touches ONE partition must leave the other partitions'
     # signature files untouched (carried forward, not rewritten)
     import pyarrow as pa
@@ -72,7 +85,8 @@ def test_clean_partitions_carried_forward_by_reference(ray_session):
     from etl_ray.pipelines import analogs as A
     from etl_ray.pipelines.replay import replay
 
-    wal, lake_dir = A.fresh_dirs("sigivm_cf")
+    root = tmp_path_factory.mktemp("sigivm_cf")
+    wal, lake_dir = str(root / "wal"), str(root / "lake")
     os.makedirs(wal)
     ids = [str(i) for i in range(64)]
     pq.write_table(pa.table({

@@ -140,3 +140,93 @@ def test_salted_replay_same_result(tmp_wal, tmp_lake, tmp_path):
     ]
     assert salted_files
     assert_matches_oracle(tmp_lake, oracle_replay(paths, vocab=VOCAB))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_every_lake_writer_uses_the_lake_format(tmp_wal, tmp_lake, tmp_path,
+                                                monkeypatch,
+                                                assert_lake_format):
+    """Bootstrap bases, deltas, quarantine files, stage-1 fragments and
+    both compaction paths' bases all carry the lake file format."""
+    import glob
+    import os
+
+    from etl_ray.pipelines.compaction import compact
+    from etl_ray.stages import exchange
+
+    base_path = str(tmp_path / "base.parquet")
+    base = generate_base(base_path, n_docs=200, seed=5, vocab=VOCAB)
+    paths = generate_changelog(tmp_wal, n_events=1600, n_segments=4,
+                               n_base_docs=200, seed=17, vocab=VOCAB,
+                               corrupt_frac=0.05)
+    c = cfg(num_partitions=4)
+
+    def check(kind, rels):
+        assert rels, kind
+        for rel in rels:
+            cols = assert_lake_format(os.path.join(tmp_lake, rel))
+            if kind != "quarantine":
+                assert {"tokens.list.element", "sequence_number"} <= cols, \
+                    (kind, rel)
+
+    bootstrap(base_path, tmp_lake, c)
+    check("bootstrap base", Manifest.load(tmp_lake).live_files())
+    replay_once(tmp_wal, tmp_lake, c, max_segments=1)
+    m = Manifest.load(tmp_lake)
+    check("delta", [f for f in m.live_files() if "/delta-" in f])
+    check("quarantine", m.quarantine_files)
+
+    # a crash before the manifest flip, with the fragment cleanup skipped,
+    # leaves that commit's stage-1 fragments on disk
+    monkeypatch.setattr(exchange, "cleanup_exchange", lambda *a, **k: None)
+    replay_once(tmp_wal, tmp_lake, c, max_segments=1, commit=False)
+    monkeypatch.undo()
+    frags = glob.glob(os.path.join(tmp_lake, "_exchange", "*", "frag-*"))
+    check("fragment", [os.path.relpath(f, tmp_lake) for f in frags])
+
+    replay(tmp_wal, tmp_lake, c, max_commits=1, segments_per_commit=2)
+    compact(tmp_lake, c, force=True)
+    check("memory base", Manifest.load(tmp_lake).live_files())
+    replay(tmp_wal, tmp_lake, c)
+    compact(tmp_lake, cfg(num_partitions=4,
+                          compact_streaming_threshold_bytes=1,
+                          compact_rows_per_range=40), force=True)
+    streamed = Manifest.load(tmp_lake).live_files()
+    check("streaming base", streamed)
+    # the streaming path writes one row group per doc_id range; the memory
+    # path writes one
+    for rel in streamed:
+        assert pq.ParquetFile(os.path.join(tmp_lake, rel)) \
+            .metadata.num_row_groups > 1, rel
+    assert_matches_oracle(
+        tmp_lake, oracle_replay(paths, base_table=base, vocab=VOCAB))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_duckdb_reads_deltas_and_bases(tmp_wal, tmp_lake):
+    """DuckDB reads a delta and a compacted base to the same rows as the
+    engine's own reader, so the lake's encodings stay ones it supports."""
+    import os
+
+    import duckdb
+
+    from etl_ray.lake import read_file
+    from etl_ray.pipelines.compaction import compact
+
+    generate_changelog(tmp_wal, n_events=1200, n_segments=2,
+                       n_base_docs=0, seed=18, vocab=VOCAB)
+    c = cfg(num_partitions=4)
+    replay(tmp_wal, tmp_lake, c, segments_per_commit=1)
+    delta = next(f for f in Manifest.load(tmp_lake).live_files()
+                 if "/delta-" in f)
+    compact(tmp_lake, c, force=True)
+    base = Manifest.load(tmp_lake).live_files()[0]
+    for rel in (delta, base):
+        path = os.path.join(tmp_lake, rel)
+        ours = read_file(path).to_pylist()
+        theirs = duckdb.sql(
+            f"SELECT * FROM read_parquet('{path}', hive_partitioning = false)"
+            " ORDER BY doc_id"
+        ).arrow().to_pylist()
+        assert len(ours) > 0
+        assert ours == theirs, rel

@@ -78,6 +78,42 @@ def test_indented_manifest_versions_still_load(tmp_wal, tmp_lake):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_uncommitted_version_is_not_readable(tmp_wal, tmp_lake):
+    """A crash between ``v<N+1>.json``'s rename and the CURRENT flip leaves
+    that version on disk but uncommitted: time travel must refuse it, and
+    the default read must return the committed state."""
+    from etl_ray.ops.cdc_diff import lake_diff
+
+    paths = generate_changelog(tmp_wal, n_events=900, n_segments=3, seed=63,
+                               vocab=VOCAB)
+    replay(tmp_wal, tmp_lake, cfg(), segments_per_commit=1, max_commits=2)
+    committed = state(tmp_lake)
+    replay(tmp_wal, tmp_lake, cfg(), segments_per_commit=1)
+    mdir = os.path.join(tmp_lake, "_manifest")
+    with open(os.path.join(mdir, "CURRENT"), "w") as fh:
+        fh.write("2")
+    assert os.path.exists(os.path.join(mdir, "v3.json"))
+    with pytest.raises(ValueError):
+        read_lake(tmp_lake, version=3)
+    with pytest.raises(ValueError):
+        lake_diff(tmp_lake, from_version=2, to_version=3)
+    assert state(tmp_lake).equals(committed)
+    assert state(tmp_lake, version=2).equals(committed)
+    # the rerun recommits version 3 over the same segment
+    replay(tmp_wal, tmp_lake, cfg(), segments_per_commit=1)
+    got = state(tmp_lake, version=3)
+    exp = oracle_replay(paths, vocab=VOCAB).to_pandas().sort_values(
+        "doc_id").reset_index(drop=True)
+    assert list(got["doc_id"]) == list(exp["doc_id"])
+    assert list(got["sequence_number"]) == list(exp["sequence_number"])
+    # without CURRENT nothing is committed: only version 0 reads
+    os.remove(os.path.join(mdir, "CURRENT"))
+    with pytest.raises(ValueError):
+        read_lake(tmp_lake, version=1)
+    assert read_lake(tmp_lake, version=0).count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_gc_preserves_history_prune_retires_it(tmp_wal, tmp_lake):
     generate_changelog(tmp_wal, n_events=600, n_segments=2, seed=62,
                        vocab=VOCAB)
