@@ -819,7 +819,6 @@ def _replay_events(sf_dir: str, *, tag: str, quarantine_over=None,
     A.events_to_changelog(sf_dir, wal, with_props_from=with_props_from)
     kw = dict(
         num_partitions=num_partitions,
-        apply_concurrency=None,
         payload=A.events_payload(quarantine_over),
         corrections=tuple(corrections),
     )
@@ -956,8 +955,7 @@ def _q_cdc_recover(sf_dir: str):
     from etl_ray.pipelines.replay import recover_quarantine
 
     _, lake, _ = _replay_events(sf_dir, tag="recover", quarantine_over=300.0)
-    cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
-                       payload=A.events_payload(600.0))
+    cfg = EngineConfig(num_partitions=8, payload=A.events_payload(600.0))
     recover_quarantine(lake, cfg)
     return A.lake_final_state(lake)
 
@@ -1834,7 +1832,6 @@ def _q_ann_ivf_topk(sf_dir: str):
     results to streaming the whole corpus (unprobed cells get zero FLOPs
     either way); the partitioned variant additionally gives them zero
     scan bytes."""
-    import tempfile
 
     import numpy as np
     import pyarrow.compute as pc
@@ -1843,6 +1840,7 @@ def _q_ann_ivf_topk(sf_dir: str):
 
     from etl_ray.ops.similarity import (ivf_build, ivf_persist,
                                         ivf_topk_partitioned)
+    from etl_ray.util import scratch_dir
 
     path = os.path.join(sf_dir, "embeddings.parquet")
     qt = pq.read_table(path, columns=["vec_id", "embedding"],
@@ -1855,7 +1853,7 @@ def _q_ann_ivf_topk(sf_dir: str):
     )
     indexed, C = ivf_build(ds, dim=Q.shape[1], nlist=8, seed=11,
                            concurrency=2)
-    root = tempfile.mkdtemp(prefix="etl_ray_ivfq_")
+    root = scratch_dir("ivfq_")
     ivf_persist(indexed, root)
     out, stats = ivf_topk_partitioned(root, qids, Q, centroids=C, k=10,
                                       nprobe=3, concurrency=2)
@@ -2216,8 +2214,7 @@ def _q_cdc_dedup_incremental(sf_dir: str):
 
     wal, lake = A.fresh_dirs("sigivm")
     A.docs_to_changelog(sf_dir, wal)
-    cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
-                       payload=A.docs_payload())
+    cfg = EngineConfig(num_partitions=8, payload=A.docs_payload())
     replay(wal, lake, cfg, segments_per_commit=1)  # versions 1..3
     build_signature_index(lake, version=1)
     refresh_signature_index(lake)
@@ -2243,8 +2240,7 @@ def _q_cdc_dedup_exact_tokens(sf_dir: str):
 
     wal, lake = A.fresh_dirs("tokdedup")
     A.docs_to_changelog(sf_dir, wal)
-    cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
-                       payload=A.docs_payload())
+    cfg = EngineConfig(num_partitions=8, payload=A.docs_payload())
     replay(wal, lake, cfg)
     toks = read_lake(lake, columns=["doc_id", "text"]).map_batches(
         TokenizeDocs(), batch_format="pyarrow")
@@ -2266,8 +2262,7 @@ def _q_lake_token_histogram(sf_dir: str):
 
     wal, lake = A.fresh_dirs("tokhist")
     A.docs_to_changelog(sf_dir, wal)
-    cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
-                       payload=A.docs_payload())
+    cfg = EngineConfig(num_partitions=8, payload=A.docs_payload())
     replay(wal, lake, cfg)
     toks = read_lake(lake, columns=["doc_id", "text"]).map_batches(
         TokenizeDocs(), batch_format="pyarrow")
@@ -2321,12 +2316,12 @@ def _q_export_shards(sf_dir: str):
     return the shard manifest (ops/export.py — assignment is per-row
     md5 % n, so the oracle reproduces every shard's doc/token totals in
     closed form)."""
-    import tempfile
 
     import ray.data as rd
 
     from etl_ray.ops.export import export_shards
     from etl_ray.ops.packing import TokenizeDocs
+    from etl_ray.util import scratch_dir
 
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "text"])
@@ -2334,7 +2329,7 @@ def _q_export_shards(sf_dir: str):
         lambda t: t.set_column(0, "doc_id", t["doc_id"].cast("string")),
         batch_format="pyarrow")
     toks = ds.map_batches(TokenizeDocs(), batch_format="pyarrow")
-    out_dir = tempfile.mkdtemp(prefix="etl_ray_export_")
+    out_dir = scratch_dir("export_")
     m = export_shards(toks, out_dir, n_shards=16, tokens_col="tokens")
     m = m.drop(columns=["skipped"])
     for c in m.columns:
@@ -2452,17 +2447,17 @@ def _q_archive_ingest(sf_dir: str):
     import io
     import json
     import tarfile
-    import tempfile
 
     import pandas as pd
     import pyarrow.parquet as pq
 
     from etl_ray.parsers import parse_archives
+    from etl_ray.util import scratch_dir
 
     docs = pq.read_table(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     ).sort_by([("doc_id", "ascending")])
-    d = tempfile.mkdtemp(prefix="etl_ray_archq_")
+    d = scratch_dir("archq_")
     tar_path = os.path.join(d, "docs.tgz")
     with tarfile.open(tar_path, "w:gz") as tf:
         for did, text in zip(docs["doc_id"].to_pylist(),
@@ -2514,14 +2509,14 @@ def _q_ndt7_scrub(sf_dir: str):
     import io
     import json
     import tarfile
-    import tempfile
 
     import pandas as pd
 
     from etl_ray.ndtresult import ndt_result_registry
     from etl_ray.parsers import parse_archives
+    from etl_ray.util import scratch_dir
 
-    d = tempfile.mkdtemp(prefix="etl_ray_ndt7q_")
+    d = scratch_dir("ndt7q_")
     tar_path = os.path.join(d, "ndt7.tgz")
     with tarfile.open(tar_path, "w:gz") as tf:
         for uid, eids, cents in _ndt_cents(sf_dir):
@@ -2577,14 +2572,14 @@ def _q_ndt5_scrub(sf_dir: str):
     import io
     import json
     import tarfile
-    import tempfile
 
     import pandas as pd
 
     from etl_ray.ndtresult import ndt_result_registry
     from etl_ray.parsers import parse_archives
+    from etl_ray.util import scratch_dir
 
-    d = tempfile.mkdtemp(prefix="etl_ray_ndt5q_")
+    d = scratch_dir("ndt5q_")
     tar_path = os.path.join(d, "ndt5.tgz")
     with tarfile.open(tar_path, "w:gz") as tf:
         for uid, eids, cents in _ndt_cents(sf_dir):

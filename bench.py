@@ -242,8 +242,7 @@ def run_bench() -> dict:
         wal2, lake2 = A.fresh_dirs("benchsig")
         A.docs_to_changelog(SF_DIR, wal2)
         cfg2 = EngineConfig(num_partitions=cfg.num_partitions,
-                            apply_concurrency=None,
-                            payload=A.docs_payload())
+                                                payload=A.docs_payload())
         replay(wal2, lake2, cfg2, segments_per_commit=1)
         t0 = time.monotonic()
         build_signature_index(lake2, version=1)

@@ -79,7 +79,8 @@ def main(argv=None) -> int:
                     help="tail loop: re-check the WAL every N seconds")
     common(sp)
 
-    sp = sub.add_parser("bootstrap", help="load an initial base table")
+    sp = sub.add_parser("bootstrap", help="commit an initial base table "
+                        "(one Parquet file, validated) to an empty lake")
     sp.add_argument("--base", required=True)
     common(sp)
 
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
                 time.sleep(args.poll)
             return 0
         if args.cmd == "bootstrap":
-            from etl_ray.lake import bootstrap
+            from etl_ray.pipelines.replay import bootstrap
 
             m = bootstrap(args.base, args.lake, _config(args))
             print(json.dumps({"version": m.version,

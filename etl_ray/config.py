@@ -258,9 +258,6 @@ class EngineConfig:
     max_salt: int = 8
     salt_threshold: int = 250_000
     batch_size: int = 8192
-    # at most this many tasks per commit stage, each taking a contiguous
-    # slice of the stage's descriptors; None → twice the cluster CPUs
-    apply_concurrency: Optional[int] = None
     compact_min_deltas: int = 4
     # above this input size, compaction switches to the bounded-memory
     # range-sliced streaming sort-merge (stages/streaming_merge.py)

@@ -1,4 +1,4 @@
-"""Lake read path (merge-on-read) and bootstrap.
+"""Lake read path (merge-on-read) and the lake file format.
 
 Reading is embarrassingly parallel and involves NO shuffle: the lake is
 already hash-partitioned by doc_id, so each partition's base+delta runs are
@@ -10,7 +10,7 @@ memory per call is still one partition. The data moves only inside
 distributed tasks.
 
 Lake file format: every Parquet file the engine writes into the lake
-(deltas, quarantine files, compacted and bootstrap bases, signature files)
+(deltas, quarantine files, compacted bases, signature files)
 goes through ``write_file``, and the stage-1 exchange fragments and the
 streaming compaction writer take the same ``write_options``. The encoding
 follows from the Arrow schema alone: dictionary encoding only on string
@@ -31,12 +31,9 @@ from __future__ import annotations
 import os
 from typing import List, Optional
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from etl_ray.config import EngineConfig
-from etl_ray.schema import conform
 from etl_ray.stages.merge import merge_runs
 from etl_ray.state.manifest import Manifest
 
@@ -88,6 +85,22 @@ def read_file(path: str, columns: Optional[List[str]] = None) -> pa.Table:
         return f.read(columns=columns)
 
 
+def live_rows(lake_dir: str, files: List[str], schema: pa.Schema,
+              columns: Optional[List[str]] = None) -> pa.Table:
+    """Live rows of one partition: each of ``files`` read once, LWW-merged
+    with tombstones dropped, conformed to ``schema`` projected to
+    ``columns`` (all of them by default). Every partition-state reader
+    (scan, lake diff, signature index) goes through here."""
+    if columns is not None:
+        keep = set(columns)
+        schema = pa.schema([f for f in schema if f.name in keep])
+        columns = schema.names
+    tables = [read_file(os.path.join(lake_dir, f), columns) for f in files]
+    if not tables:
+        return schema.empty_table()
+    return merge_runs(tables, drop_deletes=True, target_schema=schema)
+
+
 class MergeRead:
     """Merge reader: one call merges one partition (descriptor row) — reads
     that partition's live files, LWW-merges, returns the Arrow table. The
@@ -102,29 +115,18 @@ class MergeRead:
         self.schema = schema_from_hex(schema_hex)
         self.include_seq = include_seq
         self.columns = columns
-        if columns:
-            # prune at the read: fetch only requested columns plus the
-            # merge-control set. For the flagship table the tokens column is
-            # ~95% of the bytes — a doc_id-only read must not touch it.
-            need = set(columns) | {"doc_id", "sequence_number", "op"}
-            self.read_columns = [f.name for f in self.schema if f.name in need]
-            self.read_schema = pa.schema(
-                [f for f in self.schema if f.name in need])
-        else:
-            self.read_columns = None
-            self.read_schema = self.schema
+        # prune at the read: fetch only requested columns plus the
+        # merge-control set. For the flagship table the tokens column is
+        # ~95% of the bytes — a doc_id-only read must not touch it.
+        self.read_columns = (
+            list(columns) + ["doc_id", "sequence_number", "op"]
+            if columns else None)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         outs = []
         for row in batch.to_pylist():
-            files = row["files"]
-            tables = [
-                read_file(os.path.join(self.lake_dir, f), self.read_columns)
-                for f in files
-            ]
-            merged = merge_runs(
-                tables, drop_deletes=True, target_schema=self.read_schema
-            )
+            merged = live_rows(self.lake_dir, row["files"], self.schema,
+                               self.read_columns)
             drop = [c for c in CONTROL_DROP if c in merged.column_names]
             if not self.include_seq and "sequence_number" in merged.column_names:
                 drop.append("sequence_number")
@@ -135,14 +137,6 @@ class MergeRead:
         if not outs:
             return pa.table({})
         return pa.concat_tables(outs, promote_options="default")
-
-
-def partition_descriptors(manifest: Manifest) -> List[dict]:
-    return [
-        {"part": k, "files": list(p.files)}
-        for k, p in sorted(manifest.partitions.items())
-        if p.files
-    ]
 
 
 def read_lake(
@@ -164,7 +158,8 @@ def read_lake(
     from etl_ray.util import descriptor_dataset, task_count
 
     manifest = Manifest.load(lake_dir, version=version)
-    descs = partition_descriptors(manifest)
+    descs = [{"part": k, "files": list(p.files)}
+             for k, p in sorted(manifest.partitions.items()) if p.files]
     if not descs:
         schema = manifest.schema or pa.schema([pa.field("doc_id", pa.string())])
         return rd.from_arrow(schema.empty_table())
@@ -186,61 +181,3 @@ def read_quarantine(lake_dir: str) -> pa.Table:
         for f in manifest.quarantine_files
     ]
     return pa.concat_tables(tabs, promote_options="default")
-
-
-def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
-    """Load an initial base table (FIXTURES.md F1) into an empty lake as
-    generation-0 base files, one per partition. Base rows get
-    sequence_number=-1 so any changelog event wins LWW against them."""
-    import ray.data as rd
-
-    manifest = Manifest.load(lake_dir)
-    if manifest.version != 0:
-        raise ValueError("bootstrap requires an empty lake")
-    cfg = config
-
-    def assign(batch: pa.Table) -> pa.Table:
-        part = cfg.part_fn(batch["doc_id"].combine_chunks(), cfg.num_partitions)
-        if "sequence_number" not in batch.column_names:
-            batch = batch.append_column(
-                "sequence_number", pa.array(np.full(len(batch), -1, np.int64))
-            )
-        return batch.append_column("__part", pa.array(part))
-
-    def write_base(group: pa.Table) -> pa.Table:
-        part = group["__part"][0].as_py()
-        out = group.drop_columns(["__part"]).sort_by(
-            [("doc_id", "ascending")])
-        rel = os.path.join(f"part={part}", f"base-g1-p{part}.parquet")
-        write_file(out, os.path.join(lake_dir, rel))
-        return pa.table(
-            {"part": [part], "rows": [len(out)], "file": [rel],
-             "max_seq": [-1]}
-        )
-
-    ds = rd.read_parquet(base_path).map_batches(
-        assign, batch_format="pyarrow", batch_size=cfg.batch_size
-    )
-    # a plain function runs as a task pool: it holds no CPUs while the
-    # groupby's sort runs (a fixed actor pool did, and hung at 1-2 CPUs)
-    stats = (
-        ds.groupby("__part")
-        .map_groups(write_base, batch_format="pyarrow")
-        .to_pandas()
-    )
-    schema = pq.read_schema(base_path)
-    if "sequence_number" not in schema.names:
-        schema = schema.append(pa.field("sequence_number", pa.int64()))
-    manifest.num_partitions = cfg.num_partitions
-    manifest.version = 1
-    manifest.set_schema(schema)
-    for row in stats.itertuples(index=False):
-        p = manifest.partition(int(row.part))
-        p.files = [row.file]
-        p.base_gen = 1
-    manifest.lineage["rows_written"] += int(stats["rows"].sum())
-    manifest.lineage["commits"].append(
-        {"commit_id": "bootstrap", "rows_written": int(stats["rows"].sum())}
-    )
-    manifest.commit()
-    return manifest

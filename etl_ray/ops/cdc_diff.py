@@ -19,15 +19,13 @@ never leave the task.
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from etl_ray.lake import read_file
-from etl_ray.stages.merge import merge_runs
+from etl_ray.lake import live_rows
 from etl_ray.state.manifest import Manifest
 
 _CONTROL = ("op", "__reason", "__shard")
@@ -83,17 +81,13 @@ class DiffPartition:
         return pa.Table.from_arrays(
             arrays, names=[n for n, _ in self.out_fields])
 
-    def _state(self, files: List[str], schema: pa.Schema) -> pa.Table:
-        tables = [read_file(os.path.join(self.lake_dir, f)) for f in files]
-        if not tables:
-            return schema.empty_table()
-        return merge_runs(tables, drop_deletes=True, target_schema=schema)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         outs = []
         for row in batch.to_pylist():
-            a = self._state(row["files_from"], self.schema_from).to_pandas()
-            b = self._state(row["files_to"], self.schema_to).to_pandas()
+            a = live_rows(self.lake_dir, row["files_from"],
+                          self.schema_from).to_pandas()
+            b = live_rows(self.lake_dir, row["files_to"],
+                          self.schema_to).to_pandas()
             am = a[["doc_id", "sequence_number"] + self.include_old]
             am = am.rename(columns={
                 "sequence_number": "__seq_from",

@@ -43,7 +43,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from etl_ray.lake import read_file, write_file
+from etl_ray.lake import live_rows, read_file, write_file
 from etl_ray.state.manifest import Manifest
 
 _META = "meta.json"
@@ -72,8 +72,8 @@ def _write_meta(lake_dir: str, name: str, meta: dict) -> None:
 
 class _SigPartition:
     """One call (re)builds one partition's signature file. Hasher state
-    (permutation coefficients) built once per worker; the merge is the
-    same LWW sort-merge the lake readers use, so 'live docs' here is
+    (permutation coefficients) built once per worker; the live docs come
+    from ``lake.live_rows``, the merge ``read_lake`` runs, so they are
     byte-identical to what read_lake returns for the partition."""
 
     def __init__(self, lake_dir: str, schema_hex: str, out_dir: str,
@@ -88,24 +88,6 @@ class _SigPartition:
         self.hasher = MinHasher(num_perm=num_perm, shingle_n=shingle_n,
                                 seed=seed)
 
-    def _live(self, files: List[str]) -> pa.Table:
-        from etl_ray.stages.merge import merge_runs
-
-        want = ["doc_id", "sequence_number", "op", self.text_col]
-        tables = [read_file(os.path.join(self.lake_dir, f), want)
-                  for f in files]
-        if not tables:
-            return pa.schema([
-                pa.field("doc_id", pa.string()),
-                pa.field("sequence_number", pa.int64()),
-                pa.field(self.text_col, pa.string()),
-            ]).empty_table()
-        cols = [f for f in self.schema
-                if f.name in ("doc_id", "sequence_number", "op",
-                              self.text_col)]
-        return merge_runs(tables, drop_deletes=True,
-                          target_schema=pa.schema(cols))
-
     def _signature_blobs(self, texts: pd.Series) -> List[bytes]:
         from etl_ray.functions.text import normalize_for_fingerprint
 
@@ -118,7 +100,10 @@ class _SigPartition:
         out = []
         for row in batch.to_pylist():
             part, files = row["part"], row["files"]
-            live = self._live(files).to_pandas()
+            live = live_rows(
+                self.lake_dir, files, self.schema,
+                ["doc_id", "sequence_number", "op", self.text_col],
+            ).to_pandas()
             live = live.sort_values("doc_id").reset_index(drop=True)
             n_reused = 0
             if row["old_sig_file"]:
@@ -181,11 +166,12 @@ def _sweep_unreferenced(lake_dir: str, name: str, files: dict) -> None:
 
 def _run_partitions(lake_dir: str, name: str, descs: List[dict],
                     manifest: Manifest, carried: dict, params: dict) -> dict:
-    """Fan the dirty-partition descriptors out (at most two tasks per
-    cluster CPU, one call per partition), commit the meta that maps every
-    partition to its (new or carried-forward) signature file, then sweep
-    the signature files it no longer references."""
-    from etl_ray.util import descriptor_dataset, task_count
+    """Fan the dirty-partition descriptors out (plain Ray tasks, at most
+    two per cluster CPU, each looping over a contiguous slice), commit the
+    meta that maps every partition to its (new or carried-forward)
+    signature file, then sweep the signature files it no longer
+    references."""
+    from etl_ray.util import map_descriptors
 
     out_dir = os.path.join("_views", name, f"v{manifest.version}")
     stats = {"as_of": manifest.version, "n_parts": len(manifest.partitions),
@@ -193,17 +179,15 @@ def _run_partitions(lake_dir: str, name: str, descs: List[dict],
              "n_docs": 0}
     files = dict(carried)
     if descs:
-        res = descriptor_dataset(descs, task_count(len(descs))).map_batches(
+        res = map_descriptors(
             _SigPartition(lake_dir, manifest.schema_hex, out_dir,
                           params["text_col"], params["num_perm"],
                           params["shingle_n"], params["seed"]),
-            batch_format="pyarrow", batch_size=1,
-        ).to_pandas()
-        for r in res.itertuples():
-            files[str(r.part)] = r.file
-            stats["n_recomputed"] += r.n_recomputed
-            stats["n_reused"] += r.n_reused
-            stats["n_docs"] += r.n_docs
+            descs)
+        for r in res.to_pylist():
+            files[str(r["part"])] = r["file"]
+            for k in ("n_recomputed", "n_reused", "n_docs"):
+                stats[k] += r[k]
     meta = {"as_of_version": manifest.version, "files": files,
             "partition_files": {
                 str(k): sorted(p.files)

@@ -26,7 +26,6 @@ engine's final lake state with a window query (LWW semantics in ANSI SQL).
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 import pandas as pd
@@ -35,6 +34,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from etl_ray.config import EngineConfig, PayloadSpec
+from etl_ray.util import scratch_dir
 
 # ----------------------------------------------------------- changelog adapter
 
@@ -112,7 +112,7 @@ def events_payload(quarantine_over: float | None = None) -> PayloadSpec:
 
 
 def fresh_dirs(tag: str):
-    root = tempfile.mkdtemp(prefix=f"etl_ray_{tag}_")
+    root = scratch_dir(f"{tag}_")
     return os.path.join(root, "wal"), os.path.join(root, "lake")
 
 

@@ -98,12 +98,11 @@ def compact(
     *,
     min_deltas: Optional[int] = None,
     force: bool = False,
-    concurrency: Optional[int] = None,
 ) -> dict:
     """Compact eligible partitions; returns a summary dict. ``force``
     compacts every partition that has any delta or >1 file.
-    The partitions run in at most ``concurrency`` tasks (default: twice
-    the cluster CPUs), each compacting a contiguous slice of them."""
+    The partitions run in at most two tasks per cluster CPU, each
+    compacting a contiguous slice of them."""
     config = config or EngineConfig()
     if min_deltas is None:
         min_deltas = config.compact_min_deltas
@@ -119,14 +118,13 @@ def compact(
     new_version = manifest.version + 1
     from etl_ray.util import map_descriptors
 
-    # partitions packed into at most `concurrency` tasks; CompactGroup is
-    # looked up on the module at call time so an instrumented subclass can
-    # stand in for it
+    # CompactGroup is looked up on the module at call time so an
+    # instrumented subclass can stand in for it
     stats = map_descriptors(
         CompactGroup(lake_dir, manifest.schema_hex, new_version,
                      config.compact_streaming_threshold_bytes,
                      config.compact_rows_per_range),
-        todo, concurrency)
+        todo)
 
     manifest.version = new_version
     total_rows = 0

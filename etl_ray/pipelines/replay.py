@@ -3,13 +3,16 @@
 One commit = one atomic application of a contiguous range of unapplied WAL
 segments (the analog of the reference's one-task-per-archive lifecycle,
 /root/reference/task/task.go:90-200, with Gardener-style resume,
-active/poller.go:152-216).
+active/poller.go:152-216). Quarantine recovery and the bootstrap of an
+initial base table are commits of the same shape.
 
 Pipeline (the storage exchange, stages/exchange.py — the engine's only
 hash partitioner; plain Ray tasks dispatched by util.map_descriptors, at
 most two per cluster CPU, each taking a contiguous slice of descriptors):
 
-    rowgroup_descriptors(segments)        # one descriptor per WAL row group
+    rowgroup_descriptors(inputs)          # one descriptor per input row
+                                          # group: a WAL segment's, a
+                                          # quarantine file's or a base's
       → FragmentReadWriter tasks          # decode + validate + bucket split
     bucket_descriptors(stage-1 stats)     # one descriptor per bucket
       → ApplyBucket tasks                 # per-shard LWW apply, delta write
@@ -94,14 +97,14 @@ def _salted_parts(manifest: Manifest, config: EngineConfig) -> frozenset:
 
 
 def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
-                            salted, pre_map=None) -> pa.Table:
+                            salted, pre_map=None, min_seq=0) -> pa.Table:
     """Two-phase apply through the disk exchange (see stages/exchange.py).
 
-    Stage 1 handles each WAL row group (decode, ``pre_map``, validate,
-    bucket-split fragment write); stage 2 each bucket. Each stage packs its
-    descriptors into at most ``apply_concurrency`` tasks (default: two per
-    cluster CPU); both return tiny stats tables, gathered in submission
-    order.
+    Stage 1 handles each input row group (decode, ``pre_map``, validate
+    with ``min_seq`` as the lowest valid sequence number, bucket-split
+    fragment write); stage 2 each bucket. Each stage packs its descriptors
+    into at most two tasks per cluster CPU (``util.task_count``); both
+    return tiny stats tables, gathered in submission order.
     """
     import ray
 
@@ -115,7 +118,6 @@ def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
     cpus = int(ray.cluster_resources().get("CPU", 4))
     n_buckets = max(4, min(config.num_partitions * config.max_salt,
                            cpus * BUCKETS_PER_CPU))
-    in_flight = config.apply_concurrency
     # fused read: stage-1 tasks decode their own row group in place; no WAL
     # bytes cross the object store (the unfused ReadParquet → map_batches
     # chain round-tripped the whole WAL through plasma: measured 3.6-4.4 s
@@ -123,14 +125,14 @@ def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
     # at call time so instrumented subclasses can stand in for them.
     frag_stats = map_descriptors(
         exchange.FragmentReadWriter(config, target, salted, exch, n_buckets,
-                                    pre_map=pre_map),
-        exchange.rowgroup_descriptors(seg_paths), in_flight)
+                                    pre_map=pre_map, min_seq=min_seq),
+        exchange.rowgroup_descriptors(seg_paths))
     items = exchange.bucket_descriptors(frag_stats.to_pandas(), n_buckets)
     if not items:
         return STATS_SCHEMA.empty_table()
     stats_tbl = map_descriptors(
         exchange.ApplyBucket(lake_dir, commit_id, config, exch, n_buckets),
-        items, in_flight)
+        items)
     exchange.cleanup_exchange(lake_dir, commit_id, config.exchange_root)
     return stats_tbl
 
@@ -328,6 +330,60 @@ def recover_quarantine(
         return None
     manifest.commit()
     return cs
+
+
+def _as_base_rows(t: pa.Table) -> pa.Table:
+    """Bootstrap ``pre_map``: a base row is an insert older than every
+    changelog event."""
+    if "op" not in t.column_names:
+        t = t.append_column("op", pa.repeat("insert", len(t)))
+    if "sequence_number" not in t.column_names:
+        t = t.append_column("sequence_number",
+                            pa.repeat(pa.scalar(-1, pa.int64()), len(t)))
+    return t
+
+
+def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
+    """Load an initial base table (FIXTURES.md F1, one Parquet file) into an
+    empty lake as version 1, through the same storage exchange as a replay
+    commit.
+
+    - Base rows become inserts with ``sequence_number`` -1 where the base
+      lacks those columns, so any changelog event wins LWW against them;
+      the Validator's lower bound is -1 for this commit only.
+    - They pass through ``EngineConfig.corrections`` and validation like
+      any event. If any base row is invalid, ``CommitAborted`` is raised
+      and the lake stays at version 0: a quarantined row with sequence
+      number -1 could never pass recovery's bound of 0.
+    - Each partition gets one ``delta-c000001-p<k>-s0.parquet``, which the
+      first compaction folds into a base like any delta.
+    - The lineage record is ``{"commit_id": "bootstrap", "rows_written":
+      N}``: base rows are not events, so ``events_in``, ``valid`` and
+      ``quarantined`` stay 0.
+    """
+    manifest = Manifest.load(lake_dir)
+    if manifest.version != 0:
+        raise ValueError("bootstrap requires an empty lake")
+    manifest.num_partitions = config.num_partitions
+    target = _target_schema(manifest, [base_path], config)
+    stats = _storage_exchange_apply(
+        [base_path], lake_dir, manifest.commit_id, config, target,
+        frozenset(), pre_map=_as_base_rows, min_seq=-1).to_pylist()
+    bad = [r for r in stats if r["shard"] == QUARANTINE_SHARD]
+    if bad:
+        raise CommitAborted(
+            f"bootstrap: {sum(r['rows_in'] for r in bad)} invalid base rows "
+            f"(reasons in {bad[0]['file']})")
+    manifest.version = 1
+    manifest.set_schema(target)
+    for r in stats:
+        manifest.partition(r["part"]).files.append(r["file"])
+    rows = sum(r["rows_out"] for r in stats)
+    manifest.lineage["rows_written"] += rows
+    manifest.lineage["commits"].append(
+        {"commit_id": "bootstrap", "rows_written": rows})
+    manifest.commit()
+    return manifest
 
 
 def replay(

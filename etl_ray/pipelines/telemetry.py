@@ -13,11 +13,12 @@ from __future__ import annotations
 import io
 import os
 import tarfile
-import tempfile
 
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
+
+from etl_ray.util import scratch_dir
 
 SS_HEADER = ("K: cid PollTime LocalAddress LocalPort RemAddress RemPort "
              "StartTimeStamp StartTimeUsec DataBytesOut PktsOut")
@@ -33,7 +34,7 @@ def _events_frame(sf_dir: str) -> pd.DataFrame:
 
 
 def _tar_of(members) -> str:
-    d = tempfile.mkdtemp(prefix="etl_ray_telemetry_")
+    d = scratch_dir("telemetry_")
     path = os.path.join(d, "telemetry.tgz")
     with tarfile.open(path, "w:gz") as tf:
         for name, blob in members:

@@ -9,10 +9,11 @@ bucket files on shared storage, then per-bucket reducers — so the exchange
 doubles as the natural multi-node path (the exchange dir lives next to the
 lake on the shared filesystem / object store).
 
-  Stage 1 (per WAL row group, stateless): validate each
-    batch, sort rows by bucket = mix(shard) % n_buckets, write ONE fragment
-    file per batch, ONE ROW GROUP (parquet) or RECORD BATCH (Arrow IPC) per
-    bucket under ``<exchange>/frag-*`` (tmp+rename atomic). The returned
+  Stage 1 (each input row group, stateless: a WAL segment's, a
+    quarantine file's or a bootstrap base's): validate each batch, sort
+    rows by bucket = mix(shard) % n_buckets, write ONE fragment file per
+    batch, ONE ROW GROUP (parquet) or RECORD BATCH (Arrow IPC) per bucket
+    under ``<exchange>/frag-*`` (tmp+rename atomic). The returned
     stats table carries the (file, row_group) -> bucket index, so no
     per-bucket directories and no small-file storm: fragment file count ==
     batch count, not batch x bucket (the round-1 layout peaked at ~15k
@@ -109,8 +110,9 @@ class FragmentWriter:
     built once, on the driver, and shipped with the instance."""
 
     def __init__(self, config: EngineConfig, target_schema, salted_parts,
-                 exchange_dir: str, n_buckets: int):
-        self.validator = Validator(config, target_schema, salted_parts)
+                 exchange_dir: str, n_buckets: int, min_seq: int = 0):
+        self.validator = Validator(config, target_schema, salted_parts,
+                                   min_seq)
         self.exchange_dir = exchange_dir
         self.n_buckets = n_buckets
         self.fmt = config.exchange_format
@@ -271,7 +273,8 @@ class FragmentWriter:
 
 def rowgroup_descriptors(seg_paths: List[str],
                          parallel_threshold: int = 64) -> List[dict]:
-    """Stage-1 work-list: one descriptor per (segment file, row group).
+    """Stage-1 work-list: one descriptor per (input file, row group); an
+    input file is a WAL segment, a quarantine file or a bootstrap base.
 
     Fusing the parquet DECODE into the stage-1 task (instead of Ray's
     unfused ReadParquet → map_batches chain) removes a full object-store
@@ -310,15 +313,16 @@ class FragmentReadWriter:
     is a (path, rg) descriptor from ``rowgroup_descriptors``; the task
     reads exactly its row group where it runs, slices it into
     ``config.batch_size`` chunks and runs the normal FragmentWriter on
-    each — identical fragments/stats, no WAL bytes through the object
+    each — identical fragments/stats, no input bytes through the object
     store. ``pre_map`` (a picklable table → table function) runs on each
-    row group before validation."""
+    row group before validation; ``min_seq`` is the Validator's lowest
+    valid sequence number."""
 
     def __init__(self, config: EngineConfig, target_schema,
                  salted_parts, exchange_dir: str, n_buckets: int,
-                 pre_map=None):
+                 pre_map=None, min_seq: int = 0):
         self.inner = FragmentWriter(config, target_schema, salted_parts,
-                                    exchange_dir, n_buckets)
+                                    exchange_dir, n_buckets, min_seq)
         self.batch_size = config.batch_size
         self.pre_map = pre_map
 
@@ -477,6 +481,8 @@ class ApplyBucket:
 
 def cleanup_exchange(lake_dir: str, commit_id: str = None,
                      root: str = None) -> None:
+    """Remove one commit's fragments (all of them without ``commit_id``),
+    and the lake's exchange dir once it is empty."""
     if root:
         tag = os.path.basename(os.path.normpath(lake_dir)) or "lake"
         base = os.path.join(root, tag)
@@ -484,3 +490,7 @@ def cleanup_exchange(lake_dir: str, commit_id: str = None,
         base = os.path.join(lake_dir, EXCHANGE_DIR)
     target = os.path.join(base, commit_id) if commit_id else base
     shutil.rmtree(target, ignore_errors=True)
+    try:
+        os.rmdir(base)
+    except OSError:
+        pass  # absent, or another commit's fragments are still there

@@ -19,12 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from etl_ray.config import (
-    CONTROL_COLUMNS,
-    QUARANTINE_SHARD,
-    EngineConfig,
-    VALID_OPS,
-)
+from etl_ray.config import QUARANTINE_SHARD, VALID_OPS, EngineConfig
 from etl_ray.schema import conform
 
 
@@ -35,10 +30,13 @@ class Validator:
     dictionaries loaded in init, /root/reference/web100/web100.go:92-105)."""
 
     def __init__(self, config: EngineConfig, target_schema: pa.Schema,
-                 salted_parts: frozenset = frozenset()):
+                 salted_parts: frozenset = frozenset(), min_seq: int = 0):
         self.config = config
         self.target_schema = target_schema
         self.salted_parts = salted_parts
+        # lowest valid sequence_number: 0 for changelog events, -1 for
+        # bootstrap base rows (so that any event wins over them)
+        self.min_seq = min_seq
         self._valid_ops = pa.array(list(VALID_OPS))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -61,7 +59,8 @@ class Validator:
             pc.equal(pc.cast(doc_id, pa.string()), ""),
         ).fill_null(True).to_numpy(zero_copy_only=False)
         seq = batch["sequence_number"]
-        bad_seq = pc.or_kleene(pc.is_null(seq), pc.less(seq, 0)).fill_null(
+        bad_seq = pc.or_kleene(
+            pc.is_null(seq), pc.less(seq, self.min_seq)).fill_null(
             True).to_numpy(zero_copy_only=False)
 
         is_delete = pc.equal(op, "delete").fill_null(False).to_numpy(

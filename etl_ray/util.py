@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import atexit
 import functools
+import shutil
+import tempfile
 
 import pyarrow as pa
 
@@ -64,26 +67,24 @@ def _remote_call():
     return ray.remote(num_cpus=1)(_call_descriptors)
 
 
-def map_descriptors(fn, items, max_in_flight=None) -> pa.Table:
-    """Run ``fn`` over the descriptor dicts of ``items`` in at most
-    ``max_in_flight`` Ray tasks (``num_cpus=1``; default
-    ``task_count(len(items))``), each taking one contiguous slice of
-    ``items`` as a multi-row descriptor table, and return the result tables
-    concatenated in submission order.
+def map_descriptors(fn, items) -> pa.Table:
+    """Run ``fn`` over the descriptor dicts of ``items`` in
+    ``task_count(len(items))`` Ray tasks (``num_cpus=1``), each taking one
+    contiguous slice of ``items`` as a multi-row descriptor table, and
+    return the result tables concatenated in submission order.
 
     ``fn`` is a constructed callable that loops over its descriptor rows
-    (the stage callables: FragmentReadWriter, ApplyBucket, CompactGroup);
-    it is ``ray.put`` once and shared by every task. This is the whole
-    dispatch layer of a commit or a compaction: a Ray Data pipeline over the
-    same descriptors spends ~60-120 ms planning and dispatching per stage,
-    against ~5 ms per task here, and needs no CPUs held back for an actor
-    pool."""
+    (the stage callables: FragmentReadWriter, ApplyBucket, CompactGroup,
+    _SigPartition); it is ``ray.put`` once and shared by every task. This
+    is the whole dispatch layer of every lake write: a Ray Data pipeline
+    over the same descriptors spends ~60-120 ms planning and dispatching
+    per stage, against ~5 ms per task here, and needs no CPUs held back
+    for an actor pool."""
     import ray
 
     if not items:
         return pa.table({})
-    n = task_count(len(items)) if max_in_flight is None \
-        else min(len(items), max_in_flight)
+    n = task_count(len(items))
     call = _remote_call()
     fn_ref = ray.put(fn)
     # n contiguous slices whose sizes differ by at most one
@@ -92,6 +93,21 @@ def map_descriptors(fn, items, max_in_flight=None) -> pa.Table:
             for a, b in zip(cuts, cuts[1:])]
     return pa.concat_tables(
         [pa.ipc.open_stream(b).read_all() for b in ray.get(refs)])
+
+
+@functools.lru_cache(maxsize=None)
+def _scratch_root() -> str:
+    root = tempfile.mkdtemp(prefix="etl_ray_")
+    atexit.register(shutil.rmtree, root, ignore_errors=True)
+    return root
+
+
+def scratch_dir(prefix: str) -> str:
+    """A new directory for files the engine's fixtures and the
+    ``__ray_entry__`` queries write outside any caller's path. Every one
+    lives under one root per process, made in the system temp dir on first
+    use and removed when the process exits."""
+    return tempfile.mkdtemp(prefix=prefix, dir=_scratch_root())
 
 
 def resolve_fs(path: str):

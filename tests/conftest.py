@@ -61,6 +61,21 @@ def run_own_cluster(tmp_path):
 
 
 @pytest.fixture()
+def forbid_ray_data(monkeypatch):
+    """Make Ray Data's pipeline entry points raise in the test process, so
+    a test can show that a code path dispatches plain Ray tasks only.
+    ``monkeypatch.undo()`` lifts the patches."""
+    import ray.data as rd
+
+    def planned(*args, **kwargs):
+        raise AssertionError("Ray Data pipeline planned")
+
+    for obj, name in ((rd, "from_items"), (rd, "read_parquet"),
+                      (rd.Dataset, "map_batches"), (rd.Dataset, "groupby")):
+        monkeypatch.setattr(obj, name, planned)
+
+
+@pytest.fixture()
 def tmp_wal(tmp_path):
     d = tmp_path / "wal"
     d.mkdir()

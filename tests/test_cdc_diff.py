@@ -10,10 +10,9 @@ import pyarrow as pa
 import pytest
 
 from etl_ray.config import EngineConfig, TokensPayload
-from etl_ray.lake import bootstrap
 from etl_ray.ops.cdc_diff import lake_diff
 from etl_ray.oracle import oracle_replay
-from etl_ray.pipelines.replay import replay
+from etl_ray.pipelines.replay import bootstrap, replay
 from etl_ray.sources.generator import generate_base, generate_changelog
 
 VOCAB = 500
@@ -57,7 +56,7 @@ def test_lake_diff_matches_oracle(tmp_path):
     base = generate_base(base_path, n_docs=120, seed=5, vocab=VOCAB)
     paths = generate_changelog(wal, n_events=900, n_segments=4,
                                n_base_docs=120, seed=6, vocab=VOCAB)
-    cfg = EngineConfig(num_partitions=4, apply_concurrency=2,
+    cfg = EngineConfig(num_partitions=4,
                        payload=TokensPayload(vocab_size=VOCAB))
     bootstrap(base_path, lake, cfg)          # version 1
     replay(wal, lake, cfg, segments_per_commit=2)  # versions 2, 3
@@ -97,7 +96,7 @@ def test_lake_diff_sees_schema_evolution(tmp_path):
     lake = str(tmp_path / "lake")
     paths = generate_changelog(wal, n_events=400, n_segments=2, seed=9,
                                vocab=VOCAB, evolve_at_segment=1)
-    cfg = EngineConfig(num_partitions=4, apply_concurrency=2,
+    cfg = EngineConfig(num_partitions=4,
                        payload=TokensPayload(vocab_size=VOCAB))
     replay(wal, lake, cfg, segments_per_commit=1)
     d = _collect(lake_diff(lake, from_version=1, to_version=2))

@@ -19,7 +19,6 @@ def cfg(**kw):
     kw.setdefault("num_partitions", 8)
     kw.setdefault("max_salt", 4)
     kw.setdefault("batch_size", 256)
-    kw.setdefault("apply_concurrency", 2)
     kw.setdefault("payload", TokensPayload(vocab_size=VOCAB))
     return EngineConfig(**kw)
 
@@ -51,7 +50,7 @@ def test_compaction_preserves_state_and_swaps_files(tmp_wal, tmp_lake):
     m = Manifest.load(tmp_lake)
     assert all(len(p.files) == 8 for p in m.partitions.values() if p.files)
 
-    res = compact(tmp_lake, c, concurrency=2)
+    res = compact(tmp_lake, c)
     assert res["compacted_partitions"] == 8
     m2 = Manifest.load(tmp_lake)
     assert all(len(p.files) == 1 for p in m2.partitions.values() if p.files)
@@ -75,7 +74,7 @@ def test_replay_after_compaction_continues(tmp_wal, tmp_lake):
                        n_base_docs=0, seed=22, vocab=VOCAB)
     c = cfg()
     replay(tmp_wal, tmp_lake, c, segments_per_commit=1)
-    compact(tmp_lake, c, force=True, concurrency=2)
+    compact(tmp_lake, c, force=True)
     # more WAL arrives after compaction
     paths_all = generate_changelog(tmp_wal, n_events=900, n_segments=3,
                                    n_base_docs=0, seed=22, vocab=VOCAB)
@@ -112,5 +111,5 @@ def test_schema_evolution_add_and_widen(tmp_wal, tmp_lake):
     assert_same_state(tmp_lake, oracle_replay(paths, vocab=VOCAB))
     # compaction under the evolved schema keeps state
     before = lake_df(tmp_lake, include_seq=True)
-    compact(tmp_lake, c, force=True, concurrency=2)
+    compact(tmp_lake, c, force=True)
     assert before.equals(lake_df(tmp_lake, include_seq=True))

@@ -19,7 +19,7 @@ def lake(ray_session, tmp_path_factory):
     root = tmp_path_factory.mktemp("sigivm_t")
     wal, lake_dir = str(root / "wal"), str(root / "lake")
     A.docs_to_changelog(SF, wal)
-    cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
+    cfg = EngineConfig(num_partitions=8,
                        payload=A.docs_payload())
     replay(wal, lake_dir, cfg, segments_per_commit=1)  # versions 1..3
     return lake_dir
@@ -63,6 +63,25 @@ def test_signature_files_use_the_lake_format(lake, assert_lake_format):
             os.path.join(lake, rel))
 
 
+def test_build_and_refresh_plan_no_ray_data(lake, forbid_ray_data,
+                                            monkeypatch):
+    """Signature build and refresh write the lake's index in plain Ray
+    tasks: with Ray Data's entry points patched to raise, both finish."""
+    from etl_ray.ops.dedup_ivm import (build_signature_index,
+                                       refresh_signature_index)
+
+    build_signature_index(lake, name="noray", version=1)
+    s = refresh_signature_index(lake, name="noray")
+    assert s["n_parts_dirty"] > 0 and s["n_recomputed"] > 0
+    # the patches are live: reading the index does plan a Ray Data pipeline
+    with pytest.raises(AssertionError, match="Ray Data pipeline planned"):
+        _long(lake, "noray")
+    monkeypatch.undo()
+    build_signature_index(lake, name="noray_full")
+    pd.testing.assert_frame_equal(_long(lake, "noray"),
+                                  _long(lake, "noray_full"))
+
+
 def test_refresh_is_noop_at_head(lake):
     from etl_ray.ops.dedup_ivm import (build_signature_index,
                                        refresh_signature_index)
@@ -95,7 +114,7 @@ def test_clean_partitions_carried_forward_by_reference(ray_session,
         "sequence_number": pa.array(range(64), pa.int64()),
         "text": pa.array([f"alpha beta gamma delta {i}" for i in ids]),
     }), os.path.join(wal, "seg-00000.parquet"))
-    cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
+    cfg = EngineConfig(num_partitions=8,
                        payload=A.docs_payload())
     replay(wal, lake_dir, cfg)
     build_signature_index(lake_dir, name="cf")
@@ -153,7 +172,7 @@ def test_refreshes_keep_only_referenced_signature_files(ray_session,
     ids = [str(i) for i in range(64)]
     segment(0, ["insert"] * 64, ids, range(64),
             [f"alpha beta gamma delta {i}" for i in ids])
-    cfg = EngineConfig(num_partitions=8, apply_concurrency=None,
+    cfg = EngineConfig(num_partitions=8,
                        payload=A.docs_payload())
     replay(wal, lake_dir, cfg)
     build_signature_index(lake_dir, name="sweep")

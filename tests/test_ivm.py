@@ -9,10 +9,9 @@ import pandas as pd
 import pytest
 
 from etl_ray.config import EngineConfig, TokensPayload
-from etl_ray.lake import bootstrap
 from etl_ray.ops.ivm import ViewSpec, build_view, read_view, refresh_view
 from etl_ray.oracle import oracle_replay
-from etl_ray.pipelines.replay import replay
+from etl_ray.pipelines.replay import bootstrap, replay
 from etl_ray.sources.generator import generate_base, generate_changelog
 
 VOCAB = 500
@@ -49,7 +48,7 @@ def test_ivm_refresh_equals_recompute(tmp_path):
     base = generate_base(base_path, n_docs=150, seed=11, vocab=VOCAB)
     paths = generate_changelog(wal, n_events=1200, n_segments=4,
                                n_base_docs=150, seed=12, vocab=VOCAB)
-    cfg = EngineConfig(num_partitions=4, apply_concurrency=2,
+    cfg = EngineConfig(num_partitions=4,
                        payload=TokensPayload(vocab_size=VOCAB))
     bootstrap(base_path, lake, cfg)                      # version 1
 
@@ -92,7 +91,7 @@ def test_ivm_multi_step_refresh(tmp_path):
     generate_base(base_path, n_docs=80, seed=21, vocab=VOCAB)
     generate_changelog(wal, n_events=600, n_segments=3,
                        n_base_docs=80, seed=22, vocab=VOCAB)
-    cfg = EngineConfig(num_partitions=4, apply_concurrency=2,
+    cfg = EngineConfig(num_partitions=4,
                        payload=TokensPayload(vocab_size=VOCAB))
     bootstrap(base_path, lake, cfg)
     build_view(lake, SPEC)

@@ -6,15 +6,20 @@ import textwrap
 
 import pytest
 
+import etl_ray.util
 from etl_ray.util import TASKS_PER_CPU, map_descriptors
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("max_in_flight", [1, 3, None])
+@pytest.mark.parametrize("max_tasks", [1, 3, None])
 @pytest.mark.parametrize("n", [1, 5, 33])
-def test_map_descriptors_packs_in_order(n, max_in_flight):
+def test_map_descriptors_packs_in_order(n, max_tasks, monkeypatch):
     import pyarrow as pa
     import ray
+
+    if max_tasks is not None:
+        monkeypatch.setattr(etl_ray.util, "task_count",
+                            lambda k: min(k, max_tasks))
 
     class Record:
         """Tags each descriptor row with the task that ran it."""
@@ -24,12 +29,11 @@ def test_map_descriptors_packs_in_order(n, max_in_flight):
             return pa.table({"i": desc["i"],
                              "task": pa.array([task] * len(desc))})
 
-    out = map_descriptors(Record(), [{"i": i} for i in range(n)],
-                          max_in_flight)
+    out = map_descriptors(Record(), [{"i": i} for i in range(n)])
     # every descriptor once, in submission order
     assert out["i"].to_pylist() == list(range(n))
     tasks = out["task"].to_pylist()
-    cap = max_in_flight or TASKS_PER_CPU * int(
+    cap = max_tasks or TASKS_PER_CPU * int(
         ray.cluster_resources()["CPU"])
     assert len(set(tasks)) == min(n, cap)
     # each task took one contiguous slice

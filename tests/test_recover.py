@@ -40,7 +40,7 @@ def _events_lww(max_value=None) -> pd.DataFrame:
 
 
 def _cfg(quarantine_over):
-    return EngineConfig(num_partitions=8, apply_concurrency=2,
+    return EngineConfig(num_partitions=8,
                         payload=A.events_payload(quarantine_over))
 
 
@@ -106,7 +106,7 @@ def test_recover_noop_paths(tmp_wal, tmp_lake, tmp_path):
     # empty quarantine → None
     generate_changelog(tmp_wal, n_events=300, n_segments=1, n_base_docs=0,
                        seed=3, vocab=100)
-    c = EngineConfig(num_partitions=4, apply_concurrency=2,
+    c = EngineConfig(num_partitions=4,
                      payload=TokensPayload(vocab_size=100))
     replay(tmp_wal, tmp_lake, c)
     assert Manifest.load(tmp_lake).quarantine_files == []

@@ -7,9 +7,9 @@ import pyarrow.parquet as pq
 import pytest
 
 from etl_ray.config import EngineConfig, TokensPayload
-from etl_ray.lake import bootstrap, read_lake, read_quarantine
+from etl_ray.lake import read_lake, read_quarantine
 from etl_ray.oracle import oracle_replay
-from etl_ray.pipelines.replay import replay, replay_once
+from etl_ray.pipelines.replay import bootstrap, replay, replay_once
 from etl_ray.sources.generator import generate_base, generate_changelog
 from etl_ray.state.manifest import Manifest
 
@@ -20,7 +20,6 @@ def cfg(**kw):
     kw.setdefault("num_partitions", 8)
     kw.setdefault("max_salt", 4)
     kw.setdefault("batch_size", 256)
-    kw.setdefault("apply_concurrency", 2)
     kw.setdefault("payload", TokensPayload(vocab_size=VOCAB))
     return EngineConfig(**kw)
 
@@ -64,6 +63,34 @@ def test_replay_with_base_and_multi_commit(tmp_wal, tmp_lake, tmp_path):
     assert len(commits) == 3
     m = Manifest.load(tmp_lake)
     assert m.applied_through_segment == 5
+    assert_matches_oracle(
+        tmp_lake, oracle_replay(paths, base_table=base, vocab=VOCAB))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_invalid_base_row_aborts_bootstrap(tmp_wal, tmp_lake, tmp_path):
+    """Base rows are validated like changelog events: one invalid row
+    aborts the bootstrap and leaves the lake empty."""
+    import os
+
+    from etl_ray.pipelines.replay import CommitAborted
+
+    base_path = str(tmp_path / "base.parquet")
+    base = generate_base(base_path, n_docs=200, seed=2, vocab=VOCAB)
+    tokens = base["tokens"].to_pylist()
+    tokens[7][-1] = VOCAB  # one out-of-vocab token
+    bad_path = str(tmp_path / "bad.parquet")
+    pq.write_table(base.set_column(
+        base.schema.get_field_index("tokens"), "tokens",
+        pa.array(tokens, base.schema.field("tokens").type)), bad_path)
+    with pytest.raises(CommitAborted, match="1 invalid base rows"):
+        bootstrap(bad_path, tmp_lake, cfg())
+    assert Manifest.load(tmp_lake).version == 0
+    assert not os.path.exists(os.path.join(tmp_lake, "_exchange"))
+    assert bootstrap(base_path, tmp_lake, cfg()).version == 1
+    paths = generate_changelog(tmp_wal, n_events=400, n_segments=1,
+                               n_base_docs=200, seed=3, vocab=VOCAB)
+    replay(tmp_wal, tmp_lake, cfg())
     assert_matches_oracle(
         tmp_lake, oracle_replay(paths, base_table=base, vocab=VOCAB))
 

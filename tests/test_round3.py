@@ -19,7 +19,6 @@ def cfg(**kw):
     kw.setdefault("num_partitions", 8)
     kw.setdefault("max_salt", 4)
     kw.setdefault("batch_size", 256)
-    kw.setdefault("apply_concurrency", 2)
     kw.setdefault("payload", TokensPayload(vocab_size=VOCAB))
     return EngineConfig(**kw)
 

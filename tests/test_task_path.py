@@ -1,7 +1,7 @@
-"""The commit and compaction task path: every apply path finishes on 1- and
-2-CPU clusters, no commit or compaction plans a Ray Data pipeline on the
-driver, and replay + compaction are deterministic down to the manifest (file
-lists in the same order)."""
+"""The lake-write task path: every apply path finishes on 1- and 2-CPU
+clusters, no bootstrap, commit, recovery or compaction plans a Ray Data
+pipeline, and replay + compaction are deterministic down to
+the manifest (file lists in the same order)."""
 
 import glob
 import json
@@ -10,11 +10,13 @@ import textwrap
 
 import pytest
 
+import etl_ray.util
 from etl_ray.config import EngineConfig, TokensPayload
 from etl_ray.lake import read_lake
 from etl_ray.pipelines.compaction import compact
-from etl_ray.pipelines.replay import recover_quarantine, replay, replay_once
-from etl_ray.sources.generator import generate_changelog
+from etl_ray.pipelines.replay import (bootstrap, recover_quarantine, replay,
+                                      replay_once)
+from etl_ray.sources.generator import generate_base, generate_changelog
 
 # Runs in its own process so it can size its own Ray cluster. Each path
 # used to hang at 1-2 CPUs behind an actor pool that held every CPU the
@@ -27,9 +29,8 @@ _LOW_CPU_SCRIPT = textwrap.dedent("""
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
     from etl_ray.config import EngineConfig, TokensPayload
-    from etl_ray.lake import bootstrap
     from etl_ray.pipelines.compaction import compact
-    from etl_ray.pipelines.replay import recover_quarantine, replay
+    from etl_ray.pipelines.replay import bootstrap, recover_quarantine, replay
     from etl_ray.sources.generator import generate_base, generate_changelog
 
     tmp = sys.argv[1]
@@ -58,33 +59,28 @@ def test_apply_paths_finish_on_small_clusters(run_own_cluster, cpus):
     run_own_cluster(_LOW_CPU_SCRIPT, cpus)
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_commit_path_plans_no_ray_data(tmp_wal, tmp_path, monkeypatch):
-    """Replay, quarantine recovery and compaction dispatch plain Ray tasks:
-    with Ray Data's entry points raising on the driver, all three finish."""
-    import ray.data as rd
-
-    def planned(*args, **kwargs):
-        raise AssertionError("Ray Data pipeline planned on the driver")
-
-    monkeypatch.setattr(rd, "from_items", planned)
-    monkeypatch.setattr(rd, "read_parquet", planned)
-    monkeypatch.setattr(rd.Dataset, "map_batches", planned)
-    monkeypatch.setattr(rd.Dataset, "groupby", planned)
-    generate_changelog(tmp_wal, n_events=600, n_segments=3, seed=6,
-                       vocab=100, max_tok=32, corrupt_frac=0.02)
+@pytest.mark.usefixtures("ray_session", "forbid_ray_data")
+def test_commit_path_plans_no_ray_data(tmp_wal, tmp_path):
+    """Bootstrap, replay, quarantine recovery and compaction dispatch plain
+    Ray tasks: with Ray Data's entry points patched to raise, all four
+    finish."""
+    base = str(tmp_path / "base.parquet")
+    generate_base(base, n_docs=100, seed=5, vocab=100, max_tok=32)
+    generate_changelog(tmp_wal, n_events=600, n_segments=3, n_base_docs=100,
+                       seed=6, vocab=100, max_tok=32, corrupt_frac=0.02)
     lake = str(tmp_path / "lake")
 
     def cfg(vocab):
         return EngineConfig(num_partitions=4, max_salt=2, batch_size=128,
                             payload=TokensPayload(vocab_size=vocab))
 
+    assert bootstrap(base, lake, cfg(100)).version == 1
     # vocab 99 quarantines every event carrying token 99
     assert replay_once(tmp_wal, lake, cfg(99)).quarantined > 0
     assert recover_quarantine(lake, cfg(100)) is not None
     assert compact(lake, cfg(100), force=True)["compacted_partitions"] > 0
     # the patches are live: the read path does plan a Ray Data pipeline
-    with pytest.raises(AssertionError, match="planned on the driver"):
+    with pytest.raises(AssertionError, match="Ray Data pipeline planned"):
         read_lake(lake)
 
 
@@ -107,19 +103,22 @@ def _manifests(lake: str) -> list:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_replay_and_compaction_are_deterministic(tmp_wal, tmp_path):
+def test_replay_and_compaction_are_deterministic(tmp_wal, tmp_path,
+                                                 monkeypatch):
     generate_changelog(tmp_wal, n_events=1500, n_segments=6, seed=21,
                        vocab=500, max_tok=48, corrupt_frac=0.03)
-    # apply_concurrency=1 vs the default: in-flight limits must not change
+    # one task per stage vs the default task count: packing must not change
     # which files a commit lists, or in which order
+    c = EngineConfig(num_partitions=8, max_salt=2, batch_size=128,
+                     payload=TokensPayload(vocab_size=500))
     lakes = []
-    for i, conc in enumerate((1, None)):
+    for i, one_task in enumerate((True, False)):
         lake = str(tmp_path / f"lake{i}")
-        c = EngineConfig(num_partitions=8, max_salt=2, batch_size=128,
-                         apply_concurrency=conc,
-                         payload=TokensPayload(vocab_size=500))
-        assert len(replay(tmp_wal, lake, c, segments_per_commit=2)) == 3
-        compact(lake, c, force=True)
+        with monkeypatch.context() as mp:
+            if one_task:
+                mp.setattr(etl_ray.util, "task_count", lambda n: min(n, 1))
+            assert len(replay(tmp_wal, lake, c, segments_per_commit=2)) == 3
+            compact(lake, c, force=True)
         lakes.append(lake)
     a, b = (_manifests(lake) for lake in lakes)
     assert len(a) == 4
