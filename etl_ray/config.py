@@ -9,6 +9,11 @@ table ``(doc_id, tokens: list<int32>, n_tok: int32, source: string)``
 
 Config-as-data mirrors the reference's registries (buffer sizes, skip counts,
 datatype tables — /root/reference/etl/globals.go:270-330).
+
+Memory bounds that no deployment sets are module constants, not
+``EngineConfig`` fields: rows per compaction range
+(``pipelines.compaction.ROWS_PER_RANGE``) and the stage-2 pre-collapse
+bound (``stages.exchange.APPLY_CHUNK_ROWS``).
 """
 
 from __future__ import annotations
@@ -239,7 +244,8 @@ class EngineConfig:
     """Tuning knobs. Sized for a multi-node cluster; tests shrink them.
 
     num_partitions: choose so one partition's live data fits a worker's heap
-      during merge/compaction (~1-2 GB). At 100 TB that means P ~ 64k; the
+      during merge-on-read (~1-2 GB); compaction merges a partition in
+      bounded doc_id ranges. At 100 TB that means P ~ 64k; the
       sandbox bench uses 32-64. Partition count is fixed at lake-creation
       time (manifest records it); changing it requires a full rewrite.
     max_salt: events within one hot partition can be split into up to
@@ -259,19 +265,11 @@ class EngineConfig:
     salt_threshold: int = 250_000
     batch_size: int = 8192
     compact_min_deltas: int = 4
-    # above this input size, compaction switches to the bounded-memory
-    # range-sliced streaming sort-merge (stages/streaming_merge.py)
-    compact_streaming_threshold_bytes: int = 512 << 20
-    compact_rows_per_range: int = 1 << 20
     # cap a commit by INPUT BYTES (file sizes driver-side; always >=1
     # segment): a catch-up replay of a huge backlog becomes several bounded
     # commits instead of one unbounded one. None = uncapped. Sized so one
     # bucket (~ cap / n_buckets, x skew) fits a worker heap.
     max_bytes_per_commit: Optional[int] = 8 << 30
-    # apply-side pre-collapse threshold: a bucket's accumulated exchange
-    # chunks are LWW-collapsed per (shard, doc) past this many rows, so
-    # peak memory ~ collapsed state + one chunk even for backlog buckets
-    apply_chunk_rows: int = 1 << 21
     # exchange fragment container: "parquet" (lz4, half the bytes — right
     # for disk / shared-fs exchange) or "ipc" (raw Arrow IPC, ~10x cheaper
     # encode and near-zero-cost decode at ~2x bytes — right for a

@@ -11,8 +11,8 @@ distributed tasks.
 
 Lake file format: every Parquet file the engine writes into the lake
 (deltas, quarantine files, compacted bases, signature files)
-goes through ``write_file``, and the stage-1 exchange fragments and the
-streaming compaction writer take the same ``write_options``. The encoding
+goes through ``write_file``, and the stage-1 exchange fragments take the
+same ``write_options``. The encoding
 follows from the Arrow schema alone: dictionary encoding only on string
 and Arrow dictionary columns other than ``doc_id``;
 ``DELTA_BINARY_PACKED`` on integer columns and integer list elements
@@ -29,7 +29,7 @@ it reads ``DELTA_BINARY_PACKED``.
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Iterable, List, Optional, Union
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -63,13 +63,33 @@ def write_options(schema: pa.Schema) -> dict:
     return {"use_dictionary": dict_cols, "column_encoding": encodings}
 
 
-def write_file(table: pa.Table, path: str) -> None:
+def write_file(tables: Union[pa.Table, Iterable[pa.Table]],
+               path: str) -> int:
     """Write one lake Parquet file atomically (tmp + rename), creating its
-    directory, in the lake file format."""
+    directory, in the lake file format. ``tables`` is one table or an
+    iterable of tables under one schema, each written as it comes, so a
+    caller can stream a file larger than memory. Returns the rows
+    written."""
+    if isinstance(tables, pa.Table):
+        tables = [tables]
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
-    pq.write_table(table, tmp, **write_options(table.schema))
+    writer, rows = None, 0
+    try:
+        for t in tables:
+            if writer is None:
+                writer = pq.ParquetWriter(tmp, t.schema,
+                                          **write_options(t.schema))
+            writer.write_table(t)
+            rows += len(t)
+    except Exception:
+        if writer is not None:
+            writer.close()
+            os.remove(tmp)
+        raise
+    writer.close()
     os.replace(tmp, path)
+    return rows
 
 
 def read_file(path: str, columns: Optional[List[str]] = None) -> pa.Table:
@@ -170,14 +190,14 @@ def read_lake(
     )
 
 
-def read_quarantine(lake_dir: str) -> pa.Table:
-    """All quarantined events with reasons (driver-side; quarantine is small
-    by design — poison events, not data)."""
+def read_quarantine(lake_dir: str,
+                    columns: Optional[List[str]] = None) -> pa.Table:
+    """All quarantined events with reasons, or their ``columns`` only
+    (driver-side; quarantine is small by design — poison events, not
+    data)."""
     manifest = Manifest.load(lake_dir)
     if not manifest.quarantine_files:
         return pa.table({"__reason": pa.array([], type=pa.string())})
-    tabs = [
-        pq.read_table(os.path.join(lake_dir, f))
-        for f in manifest.quarantine_files
-    ]
+    tabs = [read_file(os.path.join(lake_dir, f), columns)
+            for f in manifest.quarantine_files]
     return pa.concat_tables(tabs, promote_options="default")

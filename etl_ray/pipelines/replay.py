@@ -29,12 +29,16 @@ sequence_number across all delta files.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
 from typing import List, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from etl_ray.config import QUARANTINE_SHARD, EngineConfig
+from etl_ray.lake import read_file
 from etl_ray.schema import promote_all
 from etl_ray.sources.wal import list_segments, segments_schema
 from etl_ray.stages.apply import STATS_SCHEMA
@@ -51,7 +55,8 @@ class CommitAborted(RuntimeError):
     """Raised when a commit's quarantine ratio exceeds
     ``EngineConfig.max_failure_ratio`` — the analog of the reference's
     TaskError on >10% test failures (/root/reference/etl/etl.go:116-117,
-    parser/ndt7_result.go:40-51). The manifest is NOT flipped."""
+    parser/ndt7_result.go:40-51). The manifest is NOT flipped, and the
+    files the commit wrote are removed."""
 
     def __init__(self, msg: str, stats=None):
         super().__init__(msg)
@@ -135,6 +140,14 @@ def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
         items)
     exchange.cleanup_exchange(lake_dir, commit_id, config.exchange_root)
     return stats_tbl
+
+
+def _remove_files(lake_dir: str, rels: List[str]) -> None:
+    """Remove the data files an aborted or empty commit wrote. They are
+    named by its commit_id, which no file the manifest lists carries."""
+    for rel in rels:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(lake_dir, rel))
 
 
 def _fold_commit_stats(manifest: Manifest, cs: CommitStats,
@@ -231,11 +244,9 @@ def replay_once(
         # bound a commit by input bytes (driver-side stat of the tiny
         # work-list): a catch-up backlog becomes several bounded commits,
         # so bucket size stays ~ cap / n_buckets instead of the backlog
-        import os as _os
-
         total, cut = 0, len(segs)
         for i, s in enumerate(segs):
-            total += s.size if s.size >= 0 else _os.path.getsize(s.path)
+            total += s.size if s.size >= 0 else os.path.getsize(s.path)
             if total > config.max_bytes_per_commit and i > 0:
                 cut = i
                 break
@@ -256,9 +267,9 @@ def replay_once(
     ):
         # the reference's TaskError gate (>10% of tests failing fails the
         # task, /root/reference/etl/etl.go:116-117): leave the manifest
-        # UNFLIPPED so the bad batch is retried/inspected, never silently
-        # committed. Data writes are deterministic → a later retry after the
-        # poison source is fixed overwrites them byte-for-byte.
+        # UNFLIPPED and remove this commit's files, so the bad batch is
+        # retried/inspected, never silently committed
+        _remove_files(lake_dir, stats_tbl["file"].to_pylist())
         raise CommitAborted(
             f"commit {commit_id}: {cs.quarantined}/{cs.events_in} events "
             f"quarantined (> max_failure_ratio={config.max_failure_ratio})",
@@ -302,9 +313,7 @@ def recover_quarantine(
     manifest = Manifest.load(lake_dir)
     if not manifest.quarantine_files:
         return None
-    import os as _os
-
-    paths = [_os.path.join(lake_dir, f) for f in manifest.quarantine_files]
+    paths = [os.path.join(lake_dir, f) for f in manifest.quarantine_files]
     target = _target_schema(manifest, paths, config)
     # a stored __reason must not survive into the target schema (it would
     # collide with the fresh one)
@@ -322,11 +331,7 @@ def recover_quarantine(
         # nothing recovered: remove the rewritten (identical) quarantine
         # file and leave the manifest untouched — recovery is a no-op and
         # idempotent under repeated calls
-        for f in manifest.quarantine_files:
-            try:
-                _os.remove(_os.path.join(lake_dir, f))
-            except OSError:
-                pass
+        _remove_files(lake_dir, stats_tbl["file"].to_pylist())
         return None
     manifest.commit()
     return cs
@@ -352,9 +357,10 @@ def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
       lacks those columns, so any changelog event wins LWW against them;
       the Validator's lower bound is -1 for this commit only.
     - They pass through ``EngineConfig.corrections`` and validation like
-      any event. If any base row is invalid, ``CommitAborted`` is raised
-      and the lake stays at version 0: a quarantined row with sequence
-      number -1 could never pass recovery's bound of 0.
+      any event. If any base row is invalid, ``CommitAborted`` is raised,
+      the files the commit wrote are removed and the lake stays at
+      version 0: a quarantined row with sequence number -1 could never
+      pass recovery's bound of 0.
     - Each partition gets one ``delta-c000001-p<k>-s0.parquet``, which the
       first compaction folds into a base like any delta.
     - The lineage record is ``{"commit_id": "bootstrap", "rows_written":
@@ -371,9 +377,12 @@ def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
         frozenset(), pre_map=_as_base_rows, min_seq=-1).to_pylist()
     bad = [r for r in stats if r["shard"] == QUARANTINE_SHARD]
     if bad:
+        reasons = read_file(os.path.join(lake_dir, bad[0]["file"]),
+                            ["__reason"])["__reason"]
+        _remove_files(lake_dir, [r["file"] for r in stats])
         raise CommitAborted(
             f"bootstrap: {sum(r['rows_in'] for r in bad)} invalid base rows "
-            f"(reasons in {bad[0]['file']})")
+            f"({', '.join(pc.unique(reasons).to_pylist())})")
     manifest.version = 1
     manifest.set_schema(target)
     for r in stats:

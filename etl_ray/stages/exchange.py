@@ -27,7 +27,7 @@ lake on the shared filesystem / object store).
     row groups / record batches (row-group-granular parquet reads;
     memory-mapped zero-copy IPC) and runs the per-shard LWW apply
     (ApplyShards), pre-collapsing accumulated chunks per (__shard, doc_id)
-    whenever they exceed ``apply_chunk_rows`` so a backlog bucket never
+    whenever they exceed ``APPLY_CHUNK_ROWS`` so a backlog bucket never
     materializes unbounded (max-by-seq is associative).
 
 Both stages are plain ``ray.remote`` tasks (``util.map_descriptors``, at
@@ -58,6 +58,12 @@ from etl_ray.lake import write_options
 from etl_ray.stages.validate import Validator
 
 EXCHANGE_DIR = "_exchange"
+
+# stage-2 pre-collapse bound: a bucket's accumulated chunks are
+# LWW-collapsed per (__shard, doc_id) past this many rows, so peak memory
+# is the collapsed state + one chunk even for a backlog bucket.
+# ApplyBucket reads it on the driver, so a lowered value reaches the tasks.
+APPLY_CHUNK_ROWS = 1 << 21
 
 # parquet fragment codec: lz4 encodes/decodes fastest, and fragments live
 # for one commit only
@@ -360,7 +366,7 @@ def bucket_descriptors(frag_stats, n_buckets: int) -> List[dict]:
 class ApplyBucket:
     """Stage 2: read one bucket's row groups, apply per shard (LWW delta
     write / quarantine write via ApplyShards). Accumulated chunks are
-    pre-collapsed per (__shard, doc_id) at ``apply_chunk_rows`` so peak
+    pre-collapsed per (__shard, doc_id) at ``APPLY_CHUNK_ROWS`` so peak
     memory is bounded by the collapsed state + one chunk, not by the
     bucket's total backlog."""
 
@@ -370,7 +376,7 @@ class ApplyBucket:
 
         self.inner = ApplyShards(lake_dir, commit_id, config)
         self.exchange_dir = exchange_dir
-        self.chunk_rows = config.apply_chunk_rows
+        self.chunk_rows = APPLY_CHUNK_ROWS
         self.n_buckets = n_buckets
         self._mmaps: List = []
         # split-payload state: mmap'd arrival-order payload tables in

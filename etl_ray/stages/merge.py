@@ -77,19 +77,27 @@ def lww_last_per_keys(table: pa.Table, key_cols: list,
     return table.take(pa.array(winners))
 
 
-def drop_tombstones(table: pa.Table, *, op_col: str = "op") -> pa.Table:
+def drop_tombstones(table: pa.Table, *, op_col: str = "op",
+                    keep: pa.Array = None) -> pa.Table:
+    """Drop the rows whose ``op`` is delete, except those whose doc_id is
+    in ``keep``."""
     if op_col not in table.column_names or len(table) == 0:
         return table
-    keep = pc.invert(pc.equal(table[op_col], "delete").fill_null(False))
-    return table.filter(keep)
+    dead = pc.equal(table[op_col], "delete").fill_null(False)
+    if keep is not None:
+        dead = pc.and_(dead, pc.invert(pc.is_in(table["doc_id"],
+                                                value_set=keep)))
+    return table.filter(pc.invert(dead))
 
 
 def merge_runs(tables: list, *, drop_deletes: bool,
                id_col: str = "doc_id", seq_col: str = "sequence_number",
-               target_schema: pa.Schema = None) -> pa.Table:
+               target_schema: pa.Schema = None,
+               keep_deletes: pa.Array = None) -> pa.Table:
     """Merge base+delta runs for one partition: concat → LWW → (optionally)
-    drop tombstones. Inputs may be under older schema versions; they are
-    conformed to ``target_schema`` first (schema evolution on read)."""
+    drop tombstones, keeping those of the doc_ids in ``keep_deletes``.
+    Inputs may be under older schema versions; they are conformed to
+    ``target_schema`` first (schema evolution on read)."""
     from etl_ray.schema import conform
 
     if target_schema is not None:
@@ -97,5 +105,5 @@ def merge_runs(tables: list, *, drop_deletes: bool,
     merged = pa.concat_tables(tables, promote_options="default")
     merged = lww_last_per_doc(merged, id_col=id_col, seq_col=seq_col)
     if drop_deletes:
-        merged = drop_tombstones(merged)
+        merged = drop_tombstones(merged, keep=keep_deletes)
     return merged

@@ -124,3 +124,85 @@ def test_recover_noop_paths(tmp_wal, tmp_lake, tmp_path):
     m1 = Manifest.load(lake2)
     assert m1.version == m0.version
     assert m1.quarantine_files == m0.quarantine_files
+
+
+def _write_segment(wal, n, rows):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    os.makedirs(wal, exist_ok=True)
+    pq.write_table(pa.Table.from_pylist(rows, schema=pa.schema([
+        ("op", pa.string()), ("doc_id", pa.string()),
+        ("sequence_number", pa.int64()), ("tokens", pa.list_(pa.int32())),
+        ("n_tok", pa.int32()), ("source", pa.string())])),
+        os.path.join(wal, f"seg-{n:05d}.parquet"))
+
+
+def _columns(lake, rel):
+    import pyarrow.parquet as pq
+
+    return pq.ParquetFile(os.path.join(lake, rel)).schema_arrow.names
+
+
+@pytest.mark.parametrize("rows_per_range", [None, 2])
+@pytest.mark.usefixtures("ray_session")
+def test_compaction_keeps_delete_a_quarantined_event_loses_to(
+        tmp_path, monkeypatch, rows_per_range):
+    """Y is inserted at seq 20 with an out-of-vocab token (quarantined) and
+    deleted at seq 21. A compaction before recovery must keep Y's
+    tombstone, or recovering the older insert brings Y back."""
+    import pyarrow.parquet as pq
+
+    from etl_ray.config import TokensPayload
+    from etl_ray.lake import read_lake
+    from etl_ray.oracle import oracle_replay
+    from etl_ray.pipelines import compaction
+    from etl_ray.pipelines.compaction import compact
+
+    if rows_per_range is not None:
+        monkeypatch.setattr(compaction, "ROWS_PER_RANGE", rows_per_range)
+    wal, lake = str(tmp_path / "wal"), str(tmp_path / "lake")
+
+    def ev(op, doc, seq, tok=1):
+        if op == "delete":
+            return {"op": op, "doc_id": doc, "sequence_number": seq}
+        return {"op": op, "doc_id": doc, "sequence_number": seq,
+                "tokens": [tok, 2], "n_tok": 2, "source": "s"}
+
+    _write_segment(wal, 0, [ev("insert", f"d{i:02d}", i) for i in range(20)]
+                   + [ev("insert", "Y", 20, tok=10)])
+    _write_segment(wal, 1, [ev("delete", "Y", 21), ev("update", "d03", 22),
+                            ev("delete", "d05", 23)])
+    paths = sorted(os.path.join(wal, f) for f in os.listdir(wal))
+
+    def cfg(vocab):
+        return EngineConfig(num_partitions=2, max_salt=1,
+                            payload=TokensPayload(vocab_size=vocab))
+
+    def live(lake):
+        return sorted(read_lake(lake).to_pandas()["doc_id"])
+
+    replay(wal, lake, cfg(10), segments_per_commit=1)
+    compact(lake, cfg(10), force=True)
+    m = Manifest.load(lake)
+    assert m.quarantine_files
+    # the bases keep op while a quarantined doc_id may need its tombstone
+    assert all("op" in _columns(lake, p.files[0])
+               for p in m.partitions.values())
+    if rows_per_range is not None:  # each base has one row group per range
+        assert any(pq.ParquetFile(os.path.join(lake, p.files[0]))
+                   .num_row_groups > 1 for p in m.partitions.values())
+    assert "Y" not in live(lake)
+    assert recover_quarantine(lake, cfg(11)) is not None
+    exp = oracle_replay(paths, vocab=11)
+    assert "Y" not in exp["doc_id"].to_pylist()
+    assert live(lake) == sorted(exp["doc_id"].to_pylist())
+
+    # with the quarantine empty, the next compaction (of the partition
+    # recovery wrote to) drops the tombstones and the op column
+    assert compact(lake, cfg(11), force=True)["compacted_partitions"] == 1
+    m = Manifest.load(lake)
+    assert m.quarantine_files == []
+    assert [p for p in m.partitions.values() if p.base_gen == m.version
+            and "op" not in _columns(lake, p.files[0])]
+    assert live(lake) == sorted(exp["doc_id"].to_pylist())

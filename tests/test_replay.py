@@ -83,10 +83,15 @@ def test_invalid_base_row_aborts_bootstrap(tmp_wal, tmp_lake, tmp_path):
     pq.write_table(base.set_column(
         base.schema.get_field_index("tokens"), "tokens",
         pa.array(tokens, base.schema.field("tokens").type)), bad_path)
-    with pytest.raises(CommitAborted, match="1 invalid base rows"):
+    with pytest.raises(CommitAborted,
+                       match=r"1 invalid base rows \(token out of vocab\)"):
         bootstrap(bad_path, tmp_lake, cfg())
     assert Manifest.load(tmp_lake).version == 0
     assert not os.path.exists(os.path.join(tmp_lake, "_exchange"))
+    # no delta or quarantine file of the aborted commit is left
+    left = [os.path.join(d, f) for d, _, fs in os.walk(tmp_lake)
+            for f in fs if f.endswith(".parquet")]
+    assert left == []
     assert bootstrap(base_path, tmp_lake, cfg()).version == 1
     paths = generate_changelog(tmp_wal, n_events=400, n_segments=1,
                                n_base_docs=200, seed=3, vocab=VOCAB)
@@ -174,10 +179,11 @@ def test_every_lake_writer_uses_the_lake_format(tmp_wal, tmp_lake, tmp_path,
                                                 monkeypatch,
                                                 assert_lake_format):
     """Bootstrap bases, deltas, quarantine files, stage-1 fragments and
-    both compaction paths' bases all carry the lake file format."""
+    one- and multi-range compacted bases all carry the lake file format."""
     import glob
     import os
 
+    from etl_ray.pipelines import compaction
     from etl_ray.pipelines.compaction import compact
     from etl_ray.stages import exchange
 
@@ -213,15 +219,14 @@ def test_every_lake_writer_uses_the_lake_format(tmp_wal, tmp_lake, tmp_path,
 
     replay(tmp_wal, tmp_lake, c, max_commits=1, segments_per_commit=2)
     compact(tmp_lake, c, force=True)
-    check("memory base", Manifest.load(tmp_lake).live_files())
+    check("one-range base", Manifest.load(tmp_lake).live_files())
     replay(tmp_wal, tmp_lake, c)
-    compact(tmp_lake, cfg(num_partitions=4,
-                          compact_streaming_threshold_bytes=1,
-                          compact_rows_per_range=40), force=True)
+    monkeypatch.setattr(compaction, "ROWS_PER_RANGE", 40)
+    compact(tmp_lake, c, force=True)
     streamed = Manifest.load(tmp_lake).live_files()
-    check("streaming base", streamed)
-    # the streaming path writes one row group per doc_id range; the memory
-    # path writes one
+    check("multi-range base", streamed)
+    # a multi-range compaction writes one row group per doc_id range; a
+    # one-range compaction writes one
     for rel in streamed:
         assert pq.ParquetFile(os.path.join(tmp_lake, rel)) \
             .metadata.num_row_groups > 1, rel

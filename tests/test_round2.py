@@ -55,6 +55,10 @@ def test_failure_ratio_gate_aborts_poison_commit(tmp_wal, tmp_lake):
     m = Manifest.load(tmp_lake)
     assert m.version == 0
     assert m.applied_through_segment == -1
+    # and the aborted commit's deltas and quarantine file are gone
+    left = [os.path.join(d, f) for d, _, fs in os.walk(tmp_lake)
+            for f in fs if f.endswith(".parquet")]
+    assert left == []
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -84,17 +88,19 @@ def test_byte_capped_backlog_splits_commits(tmp_wal, tmp_lake):
 # ------------------------------------------------- bounded bucket pre-collapse
 @pytest.mark.usefixtures("ray_session")
 def test_tiny_apply_chunk_same_state_and_quarantine(tmp_wal, tmp_lake,
-                                                    tmp_path):
+                                                    tmp_path, monkeypatch):
+    from etl_ray.stages import exchange
+
     paths = generate_changelog(tmp_wal, n_events=1500, n_segments=3, seed=34,
                                vocab=VOCAB, corrupt_frac=0.05)
-    # chunk_rows tiny → the incremental (__shard, doc_id) pre-collapse path
+    # chunk rows tiny → the incremental (__shard, doc_id) pre-collapse path
     # runs constantly; result must be byte-identical to the unbounded path
-    c1 = cfg(apply_chunk_rows=64)
-    replay(tmp_wal, tmp_lake, c1)
+    with monkeypatch.context() as mp:
+        mp.setattr(exchange, "APPLY_CHUNK_ROWS", 64)
+        replay(tmp_wal, tmp_lake, cfg())
     lake2 = str(tmp_path / "lake2")
     os.makedirs(lake2)
-    c2 = cfg(apply_chunk_rows=1 << 21)
-    replay(tmp_wal, lake2, c2)
+    replay(tmp_wal, lake2, cfg())
     a, b = lake_state(tmp_lake), lake_state(lake2)
     assert a.equals(b)
     # quarantine keeps EVERY poison event, never LWW-collapsed

@@ -10,6 +10,7 @@ import pytest
 from etl_ray.config import EngineConfig, ShiftRule, TokensPayload
 from etl_ray.pipelines.replay import replay
 from etl_ray.sources.generator import generate_changelog
+from etl_ray.stages import exchange
 from etl_ray.state.manifest import Manifest
 
 VOCAB = 1000
@@ -25,26 +26,29 @@ def cfg(**kw):
 
 # --------------------------------------------- pre-collapse lineage counts
 @pytest.mark.usefixtures("ray_session")
-def test_events_in_counts_precollapse_rows(tmp_wal, tmp_lake):
-    """A dup-heavy backlog forced through the tiny apply_chunk_rows
+def test_events_in_counts_precollapse_rows(tmp_wal, tmp_lake, monkeypatch):
+    """A dup-heavy backlog forced through a tiny APPLY_CHUNK_ROWS
     pre-collapse must still report the TRUE event count in lineage
     (ADVICE r02: failure-ratio denominators and salt detection read it)."""
     generate_changelog(tmp_wal, n_events=3000, n_segments=3, vocab=VOCAB,
                        seed=5, update_frac=0.8, insert_frac=0.1)
-    c = cfg(apply_chunk_rows=64)  # force collapse on every bucket
-    stats = replay(tmp_wal, tmp_lake, c)
+    # force collapse on every bucket
+    monkeypatch.setattr(exchange, "APPLY_CHUNK_ROWS", 64)
+    stats = replay(tmp_wal, tmp_lake, cfg())
     assert sum(s.events_in for s in stats) == 3000
     m = Manifest.load(tmp_lake)
     assert m.lineage["events_in"] == 3000
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_precollapse_does_not_trip_failure_gate(tmp_wal, tmp_lake):
+def test_precollapse_does_not_trip_failure_gate(tmp_wal, tmp_lake,
+                                                monkeypatch):
     """With the pre-collapse denominator bug, a dup-heavy clean backlog
     could abort spuriously; the true denominator never can."""
     generate_changelog(tmp_wal, n_events=3000, n_segments=1, vocab=VOCAB,
                        seed=5, update_frac=0.8, insert_frac=0.1)
-    c = cfg(apply_chunk_rows=64, max_failure_ratio=0.05)
+    monkeypatch.setattr(exchange, "APPLY_CHUNK_ROWS", 64)
+    c = cfg(max_failure_ratio=0.05)
     replay(tmp_wal, tmp_lake, c)  # must not raise CommitAborted
 
 

@@ -29,9 +29,12 @@ _LOW_CPU_SCRIPT = textwrap.dedent("""
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
     from etl_ray.config import EngineConfig, TokensPayload
+    from etl_ray.pipelines import compaction
     from etl_ray.pipelines.compaction import compact
     from etl_ray.pipelines.replay import bootstrap, recover_quarantine, replay
     from etl_ray.sources.generator import generate_base, generate_changelog
+    from etl_ray.state.manifest import Manifest
+    import pyarrow.parquet as pq
 
     tmp = sys.argv[1]
     wal = os.path.join(tmp, "wal")
@@ -48,6 +51,12 @@ _LOW_CPU_SCRIPT = textwrap.dedent("""
     bootstrap(base, lake, cfg(100))
     # vocab 99 quarantines every event carrying token 99
     assert replay(wal, lake, cfg(99))
+    # a multi-range compaction, then a one-range one after recovery
+    compaction.ROWS_PER_RANGE = 16
+    assert compact(lake, cfg(99), force=True)["compacted_partitions"] > 0
+    assert any(pq.ParquetFile(os.path.join(lake, f)).num_row_groups > 1
+               for f in Manifest.load(lake).live_files())
+    compaction.ROWS_PER_RANGE = 1 << 20
     assert recover_quarantine(lake, cfg(100)) is not None
     assert compact(lake, cfg(100), force=True)["compacted_partitions"] > 0
     print("OK")
