@@ -105,12 +105,9 @@ def run_bench() -> dict:
     sf = sf_of(SF_DIR)
     wal, n_events = ensure_wal(sf)
     warm_cache(wal)
-    # RAM-backed exchange → IPC fragments (near-zero encode/decode; see
-    # EngineConfig.exchange_format). A disk/shared-fs deployment keeps the
-    # parquet default (half the bytes).
+    # RAM-backed exchange root: the transient fragments skip the disk
     cfg = EngineConfig(num_partitions=64, max_salt=8, batch_size=32768,
-                      exchange_root="/dev/shm/etl_ray_exchange",
-                      exchange_format="ipc")
+                      exchange_root="/dev/shm/etl_ray_exchange")
 
     queries: dict[str, float] = {}
 

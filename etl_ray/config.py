@@ -270,27 +270,18 @@ class EngineConfig:
     # commits instead of one unbounded one. None = uncapped. Sized so one
     # bucket (~ cap / n_buckets, x skew) fits a worker heap.
     max_bytes_per_commit: Optional[int] = 8 << 30
-    # exchange fragment container: "parquet" (lz4, half the bytes — right
-    # for disk / shared-fs exchange) or "ipc" (raw Arrow IPC, ~10x cheaper
-    # encode and near-zero-cost decode at ~2x bytes — right for a
-    # RAM-backed exchange_root like /dev/shm, where bytes are memcpys).
-    # IPC fragments also split the payload: stage 1 bucket-sorts only the
-    # key columns and stage 2 gathers the LWW winners' payload rows from
-    # zero-copy mmaps (stages/exchange.py). Measured on 106 MB of token
-    # rows: parquet-lz4 49.5 MB, 1.3 s write + 1.4 s read; IPC 103 MB,
-    # 0.13 s write + ~0 s read.
-    exchange_format: str = "parquet"
     skip_count: int = 0  # sampling relief valve (reference etl/globals.go:326-330)
     # abort the commit (manifest unflipped, CommitAborted raised) when
     # quarantined/events_in exceeds this ratio — the reference's TaskError
     # gate (etl/etl.go:116-117). None = never abort (count + quarantine only).
     max_failure_ratio: Optional[float] = None
-    # where exchange fragments live. None → <lake>/_exchange, beside the
-    # lake (which must already be on a shared fs on a multi-node cluster:
-    # apply and the manifest commit write it through POSIX paths).
-    # Single-node benchmarking can point this at /dev/shm — fragments are
-    # transient (deleted after commit), so RAM-backed tmpfs is the
-    # in-memory-shuffle analog and skips a disk round-trip.
+    # where exchange fragments (uncompressed Arrow IPC, stages/exchange.py)
+    # live. None → <lake>/_exchange, beside the lake (which must already be
+    # on a shared fs on a multi-node cluster: apply and the manifest commit
+    # write it through POSIX paths). A single node can point this at
+    # /dev/shm — fragments are transient (deleted after commit), so
+    # RAM-backed tmpfs is the in-memory-shuffle analog and skips a disk
+    # round-trip.
     exchange_root: Optional[str] = None
     payload: PayloadSpec = field(default_factory=TokensPayload)
     # partition fn: fn(doc_id_array, P) -> np.ndarray[int64]

@@ -10,9 +10,11 @@ memory per call is still one partition. The data moves only inside
 distributed tasks.
 
 Lake file format: every Parquet file the engine writes into the lake
-(deltas, quarantine files, compacted bases, signature files)
-goes through ``write_file``, and the stage-1 exchange fragments take the
-same ``write_options``. The encoding
+(deltas, quarantine files, compacted bases, signature files) goes through
+``write_file``, which fsyncs it before the rename, so a manifest never
+lists a file whose bytes may not have reached the disk. (Exchange
+fragments are transient Arrow IPC files, not lake files, and are not
+synced: a retry rebuilds them.) The encoding
 follows from the Arrow schema alone: dictionary encoding only on string
 and Arrow dictionary columns other than ``doc_id``;
 ``DELTA_BINARY_PACKED`` on integer columns and integer list elements
@@ -65,11 +67,11 @@ def write_options(schema: pa.Schema) -> dict:
 
 def write_file(tables: Union[pa.Table, Iterable[pa.Table]],
                path: str) -> int:
-    """Write one lake Parquet file atomically (tmp + rename), creating its
-    directory, in the lake file format. ``tables`` is one table or an
-    iterable of tables under one schema, each written as it comes, so a
-    caller can stream a file larger than memory. Returns the rows
-    written."""
+    """Write one lake Parquet file atomically (tmp, fsync, rename),
+    creating its directory, in the lake file format. ``tables`` is one
+    table or an iterable of tables under one schema, each written as it
+    comes, so a caller can stream a file larger than memory. Returns the
+    rows written."""
     if isinstance(tables, pa.Table):
         tables = [tables]
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -88,6 +90,11 @@ def write_file(tables: Union[pa.Table, Iterable[pa.Table]],
             os.remove(tmp)
         raise
     writer.close()
+    fd = os.open(tmp, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
     return rows
 

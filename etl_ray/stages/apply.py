@@ -2,7 +2,8 @@
 
 Called on one storage-exchange bucket per Ray task (stages/exchange.py
 ApplyBucket). Each call receives every event routed to its shards
-(shard = partition × salt) for the current commit and, per shard:
+(shard = partition × salt) for the current commit, as zero-copy views of
+the bucket's Arrow IPC fragment batches, and, per shard:
 
   1. sorts by sequence_number and collapses to the last event per doc_id
      (LWW *within* the commit — the delta file is already deduped),
@@ -47,32 +48,6 @@ STATS_SCHEMA = pa.schema(
 )
 
 
-def _gather_rows(tables, gidx) -> pa.Table:
-    """Gather rows ``gidx`` (global indices over the concatenation of
-    ``tables``) preserving order. Takes run per SOURCE table (single-chunk,
-    sorted indices = forward scans); a single take against the chunked
-    concat instead pays a large fixed cost per call on list columns
-    (measured ~10x at 31k rows x 20 chunks). The order-restoring take runs
-    over the winners-only gathered table, so it moves winner bytes once."""
-    import numpy as np
-
-    lens = np.array([len(t) for t in tables], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lens)])
-    ord2 = np.argsort(gidx, kind="stable")
-    sw = gidx[ord2]
-    bounds = np.searchsorted(sw, offsets[1:-1])
-    pieces, s = [], 0
-    for f, e in enumerate(list(bounds) + [len(sw)]):
-        e = int(e)
-        if e > s:
-            pieces.append(tables[f].take(pa.array(sw[s:e] - offsets[f])))
-        s = e
-    g = pa.concat_tables(pieces).combine_chunks()
-    inv = np.empty(len(ord2), np.int64)
-    inv[ord2] = np.arange(len(ord2))
-    return g.take(pa.array(inv))
-
-
 class ApplyShards:
     """Callable class; construction (path roots, config) happens once per
     commit on the driver (reference: per-process init state, SURVEY.md
@@ -89,12 +64,7 @@ class ApplyShards:
         self.commit_id = commit_id
         self.config = config
 
-    def __call__(self, block: pa.Table, payload=None) -> pa.Table:
-        """``payload``: split-payload mode (stages/exchange.py) — a LIST of
-        single-chunk arrival-order payload tables; ``block`` carries only
-        key columns plus ``__gpidx`` row pointers into their concatenation.
-        Winners' payload rows are gathered here per source table (losers'
-        multi-KB rows are never copied at all)."""
+    def __call__(self, block: pa.Table) -> pa.Table:
         if len(block) == 0:
             return STATS_SCHEMA.empty_table()
         import numpy as np
@@ -118,8 +88,7 @@ class ApplyShards:
         ends = np.concatenate([boundaries, [len(sv)]])
 
         slim = block.drop_columns(
-            [c for c in ("__reason", "__shard", "__gpidx")
-             if c in block.column_names])
+            [c for c in ("__reason", "__shard") if c in block.column_names])
         # one small gather puts the keys in shard-major order; per-shard key
         # ranges are then zero-copy slices
         skeys = slim.select(["doc_id", "sequence_number"]).take(
@@ -149,12 +118,6 @@ class ApplyShards:
         if winner_parts:
             allw = np.concatenate(winner_parts)
             big = slim.take(pa.array(allw))
-            if payload is not None:
-                gp = block["__gpidx"].combine_chunks().to_numpy(
-                    zero_copy_only=False)[allw]
-                paywin = _gather_rows(payload, gp)
-                for i, name in enumerate(paywin.column_names):
-                    big = big.append_column(name, paywin.column(i))
             off = 0
             for shard, rows_in, k in plan:
                 outs.append(

@@ -11,24 +11,23 @@ lake on the shared filesystem / object store).
 
   Stage 1 (each input row group, stateless: a WAL segment's, a
     quarantine file's or a bootstrap base's): validate each batch, sort
-    rows by bucket = mix(shard) % n_buckets, write ONE fragment file per
-    batch, ONE ROW GROUP (parquet) or RECORD BATCH (Arrow IPC) per bucket
-    under ``<exchange>/frag-*`` (tmp+rename atomic). The returned
-    stats table carries the (file, row_group) -> bucket index, so no
-    per-bucket directories and no small-file storm: fragment file count ==
-    batch count, not batch x bucket (the round-1 layout peaked at ~15k
-    tiny files per commit at sf0.1; this writes ~60). Container format per
-    ``EngineConfig.exchange_format``: lz4 parquet in the lake file format
-    (``lake.write_options``) for disk/shared-fs (half the bytes), raw IPC
-    for RAM-backed exchange roots (near-zero encode/decode). IPC fragments
-    split the payload: only the key columns are bucket-sorted; payload
-    rows are written once, in arrival order.
-  Stage 2 (per bucket): each bucket reads exactly its
-    row groups / record batches (row-group-granular parquet reads;
-    memory-mapped zero-copy IPC) and runs the per-shard LWW apply
-    (ApplyShards), pre-collapsing accumulated chunks per (__shard, doc_id)
-    whenever they exceed ``APPLY_CHUNK_ROWS`` so a backlog bucket never
-    materializes unbounded (max-by-seq is associative).
+    rows by bucket = mix(shard) % n_buckets, write ONE uncompressed Arrow
+    IPC fragment file per batch, ONE RECORD BATCH per bucket, under
+    ``<exchange>/frag-*.arrow`` (tmp+rename atomic). Quarantined rows go
+    to their own ``frag-*-q.arrow``, the only fragments with ``__reason``.
+    The returned stats table carries the (file, row_group) -> bucket
+    index, where ``row_group`` is the record batch's index in its file, so
+    no per-bucket directories and no small-file storm: fragment file count
+    == batch count, not batch x bucket (the round-1 layout peaked at ~15k
+    tiny files per commit at sf0.1; this writes ~60). Uncompressed IPC
+    encodes at memcpy speed and decodes for free, at about twice the bytes
+    of lz4 Parquet; ``_shrink`` narrows what it can before the write.
+  Stage 2 (per bucket): each bucket memory-maps exactly its record
+    batches (zero-copy views, so a task's memory follows its bucket, not
+    the commit) and runs the per-shard LWW apply (ApplyShards),
+    pre-collapsing accumulated chunks per (__shard, doc_id) whenever they
+    exceed ``APPLY_CHUNK_ROWS`` so a backlog bucket never materializes
+    unbounded (max-by-seq is associative).
 
 Both stages are plain ``ray.remote`` tasks (``util.map_descriptors``, at
 most two per cluster CPU, each looping over a contiguous slice of
@@ -54,7 +53,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from etl_ray.config import QUARANTINE_SHARD, EngineConfig
-from etl_ray.lake import write_options
 from etl_ray.stages.validate import Validator
 
 EXCHANGE_DIR = "_exchange"
@@ -64,16 +62,6 @@ EXCHANGE_DIR = "_exchange"
 # is the collapsed state + one chunk even for a backlog bucket.
 # ApplyBucket reads it on the driver, so a lowered value reaches the tasks.
 APPLY_CHUNK_ROWS = 1 << 21
-
-# parquet fragment codec: lz4 encodes/decodes fastest, and fragments live
-# for one commit only
-FRAGMENT_CODEC = "lz4"
-
-# Control columns that LWW winner selection / routing / stats need. In
-# split-payload mode ONLY these (plus __shard and a row pointer) are
-# bucket-sorted and shuffled eagerly; every other column is "payload" and
-# is written once, in arrival order, gathered winners-only in stage 2.
-KEY_EXCHANGE_COLS = ("op", "doc_id", "sequence_number")
 
 FRAG_STATS_SCHEMA = pa.schema(
     [
@@ -103,11 +91,17 @@ def _shard_bucket(shard: np.ndarray, n_buckets: int) -> np.ndarray:
     return (mixed % np.uint64(n_buckets)).astype(np.int64)
 
 
-def exchange_path(lake_dir: str, commit_id: str, root: str = None) -> str:
+def _exchange_base(lake_dir: str, root: str = None) -> str:
+    """The lake's exchange dir: ``<root>/<lake basename>`` with an
+    exchange root, else ``<lake>/_exchange``."""
     if root:
         tag = os.path.basename(os.path.normpath(lake_dir)) or "lake"
-        return os.path.join(root, tag, commit_id)
-    return os.path.join(lake_dir, EXCHANGE_DIR, commit_id)
+        return os.path.join(root, tag)
+    return os.path.join(lake_dir, EXCHANGE_DIR)
+
+
+def exchange_path(lake_dir: str, commit_id: str, root: str = None) -> str:
+    return os.path.join(_exchange_base(lake_dir, root), commit_id)
 
 
 class FragmentWriter:
@@ -121,7 +115,6 @@ class FragmentWriter:
                                    min_seq)
         self.exchange_dir = exchange_dir
         self.n_buckets = n_buckets
-        self.fmt = config.exchange_format
         # columns observed high-cardinality in ANY batch are permanently
         # excluded (cheap negative cache); the dict decision itself is
         # re-made per batch — a first batch of bursty same-doc updates
@@ -159,35 +152,33 @@ class FragmentWriter:
                         t[name].combine_chunks()))
         return t
 
-    def _write_ipc(self, path: str, table: pa.Table, bucket_ids, starts,
-                   ends, record) -> None:
-        # one uncompressed IPC record batch per bucket: the encode is
-        # ~free and stage 2 reads zero-copy views (compressed buffers were
-        # 3x slower end to end). combine_chunks on the WHOLE table first so
-        # every slice shares one dictionary (the IPC file format forbids
-        # dictionary replacement).
-        table = table.combine_chunks()
+    def _write(self, t: pa.Table, bucket: np.ndarray, rel: str,
+               out: dict) -> None:
+        """Write ``t`` sorted by ``bucket`` to the fragment ``rel``: one
+        uncompressed IPC record batch per bucket, so stage 2 reads
+        zero-copy views (compressed buffers were 3x slower end to end).
+        Appends one stats row per record batch to ``out``."""
+        order = np.argsort(bucket, kind="stable")
+        # one chunk for the WHOLE table, so every slice shares one
+        # dictionary (the IPC file format forbids dictionary replacement)
+        rb = self._shrink(t).take(pa.array(order)).combine_chunks() \
+            .to_batches()[0]
+        bs = bucket[order]
+        bounds = np.flatnonzero(np.diff(bs)) + 1
+        starts = np.concatenate([[0], bounds])
+        ends = np.concatenate([bounds, [len(bs)]])
+        path = os.path.join(self.exchange_dir, rel)
         with pa.OSFile(path + ".tmp", "wb") as sink:
-            with pa.ipc.new_file(sink, table.schema) as w:
-                for rg, (s, e) in enumerate(zip(starts, ends)):
-                    piece = table.slice(int(s), int(e - s))
-                    batches = piece.combine_chunks().to_batches()
-                    if len(batches) != 1:  # defensive: batch idx == rg
-                        one = pa.Table.from_batches(batches).combine_chunks()
-                        batches = one.to_batches(max_chunksize=len(one))
-                    w.write_batch(batches[0])
-                    record(rg, int(bucket_ids[s]), len(piece))
-        os.replace(path + ".tmp", path)
-
-    def _write_parquet(self, path: str, table: pa.Table, bucket_ids, starts,
-                       ends, record) -> None:
-        with pq.ParquetWriter(path + ".tmp", table.schema,
-                              compression=FRAGMENT_CODEC,
-                              **write_options(table.schema)) as w:
-            for rg, (s, e) in enumerate(zip(starts, ends)):
-                piece = table.slice(int(s), int(e - s))
-                w.write_table(piece, row_group_size=len(piece))
-                record(rg, int(bucket_ids[s]), len(piece))
+            with pa.ipc.new_file(sink, rb.schema) as w:
+                for i, (s, e) in enumerate(zip(starts, ends)):
+                    b, n = int(bs[s]), int(e - s)
+                    w.write_batch(rb.slice(int(s), n))
+                    out["bucket"].append(b)
+                    out["rows"].append(n)
+                    out["quarantined"].append(n if b == self.n_buckets
+                                              else 0)
+                    out["row_group"].append(i)
+                    out["file"].append(rel)
         os.replace(path + ".tmp", path)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -197,84 +188,23 @@ class FragmentWriter:
         shard = batch["__shard"].to_numpy(zero_copy_only=False)
         is_q = shard == QUARANTINE_SHARD
         os.makedirs(self.exchange_dir, exist_ok=True)
-        ext = "arrow" if self.fmt == "ipc" else "parquet"
         tag = uuid.uuid4().hex
-        out = {"bucket": [], "rows": [], "quarantined": [], "row_group": [],
-               "file": []}
-        write = self._write_ipc if self.fmt == "ipc" else self._write_parquet
-
-        def split_and_write(t: pa.Table, bucket: np.ndarray, rel: str):
-            order = np.argsort(bucket, kind="stable")
-            sb = t.take(pa.array(order))
-            bs = bucket[order]
-            bounds = np.flatnonzero(np.diff(bs)) + 1
-            starts = np.concatenate([[0], bounds]).astype(np.int64)
-            ends = np.concatenate([bounds, [len(bs)]]).astype(np.int64)
-
-            def record(rg, b, n):
-                out["bucket"].append(b)
-                out["rows"].append(n)
-                out["quarantined"].append(n if b == self.n_buckets else 0)
-                out["row_group"].append(rg)
-                out["file"].append(rel)
-
-            write(os.path.join(self.exchange_dir, rel), sb, bs, starts,
-                  ends, record)
-
+        out = {name: [] for name in FRAG_STATS_SCHEMA.names}
         if is_q.any():
             # quarantine rows go to their OWN fragment: they are the only
             # rows that need the __reason column, so valid fragments drop
             # it entirely (an all-null string column still costs an offsets
             # buffer per row in IPC)
             qt = batch.filter(pa.array(is_q))
-            split_and_write(self._shrink(qt),
-                            np.full(len(qt), self.n_buckets, np.int64),
-                            f"frag-{tag}-q.{ext}")
+            self._write(qt, np.full(len(qt), self.n_buckets, np.int64),
+                        f"frag-{tag}-q.arrow", out)
             batch = batch.filter(pa.array(~is_q))
             shard = shard[~is_q]
         if len(batch):
-            batch = batch.drop_columns(["__reason"])
-            pcols = [c for c in batch.column_names
-                     if c not in KEY_EXCHANGE_COLS and c != "__shard"]
-            # IPC fragments split the payload (the winner gather needs
-            # zero-copy mmap random access — tmpfs / shared-fs roots)
-            if self.fmt == "ipc" and pcols:
-                n = len(batch)
-                # payload: arrival order, ONE record batch, written once —
-                # the multi-KB rows are NEVER bucket-sorted here (that take
-                # was a full extra payload copy per commit). No _shrink:
-                # payload schemas stay uniform across fragments so the
-                # consumer can concat the mmaps zero-copy.
-                ptab = batch.select(pcols).combine_chunks()
-                ppath = os.path.join(self.exchange_dir,
-                                     f"frag-{tag}-p.arrow")
-                with pa.OSFile(ppath + ".tmp", "wb") as sink:
-                    with pa.ipc.new_file(sink, ptab.schema) as w:
-                        w.write_table(ptab, max_chunksize=max(n, 1))
-                os.replace(ppath + ".tmp", ppath)
-                # keys + row pointer into the payload file: tiny take
-                ktab = batch.select(
-                    [c for c in KEY_EXCHANGE_COLS
-                     if c in batch.column_names] + ["__shard"])
-                ktab = ktab.append_column(
-                    "__pidx", pa.array(np.arange(n, dtype=np.int32)))
-                split_and_write(self._shrink(ktab),
-                                _shard_bucket(shard, self.n_buckets),
-                                f"frag-{tag}-k.arrow")
-            else:
-                split_and_write(self._shrink(batch),
-                                _shard_bucket(shard, self.n_buckets),
-                                f"frag-{tag}.{ext}")
-        return pa.table(
-            {
-                "bucket": pa.array(out["bucket"], pa.int64()),
-                "rows": pa.array(out["rows"], pa.int64()),
-                "quarantined": pa.array(out["quarantined"], pa.int64()),
-                "file": pa.array(out["file"], pa.string()),
-                "row_group": pa.array(out["row_group"], pa.int64()),
-            },
-            schema=FRAG_STATS_SCHEMA,
-        )
+            self._write(batch.drop_columns(["__reason"]),
+                        _shard_bucket(shard, self.n_buckets),
+                        f"frag-{tag}.arrow", out)
+        return pa.table(out, schema=FRAG_STATS_SCHEMA)
 
 
 def rowgroup_descriptors(seg_paths: List[str],
@@ -364,7 +294,7 @@ def bucket_descriptors(frag_stats, n_buckets: int) -> List[dict]:
 
 
 class ApplyBucket:
-    """Stage 2: read one bucket's row groups, apply per shard (LWW delta
+    """Stage 2: read one bucket's record batches, apply per shard (LWW delta
     write / quarantine write via ApplyShards). Accumulated chunks are
     pre-collapsed per (__shard, doc_id) at ``APPLY_CHUNK_ROWS`` so peak
     memory is bounded by the collapsed state + one chunk, not by the
@@ -378,24 +308,6 @@ class ApplyBucket:
         self.exchange_dir = exchange_dir
         self.chunk_rows = APPLY_CHUNK_ROWS
         self.n_buckets = n_buckets
-        self._mmaps: List = []
-        # split-payload state: mmap'd arrival-order payload tables in
-        # first-use order; __gpidx = per-file row index + the file's offset
-        # into their zero-copy concatenation
-        self._payload_tables: List[pa.Table] = []
-        self._payload_offsets: dict = {}
-
-    def _payload_offset(self, key_file: str) -> int:
-        ppath = os.path.join(self.exchange_dir,
-                             key_file[: -len("-k.arrow")] + "-p.arrow")
-        if ppath not in self._payload_offsets:
-            mm = pa.memory_map(ppath, "r")
-            self._mmaps.append(mm)
-            t = pa.ipc.open_file(mm).read_all()
-            self._payload_offsets[ppath] = sum(
-                len(x) for x in self._payload_tables)
-            self._payload_tables.append(t)
-        return self._payload_offsets[ppath]
 
     @staticmethod
     def _undo_shrink(t: pa.Table) -> pa.Table:
@@ -425,24 +337,11 @@ class ApplyBucket:
         # from these counts, not from len(group) downstream.
         true_counts: dict = {}
         for f, rg in zip(row["files"], row["rgs"]):
-            path = os.path.join(self.exchange_dir, f)
-            if f.endswith(".arrow"):
-                # memory-mapped IPC: the bucket's record batch is a
-                # zero-copy view (no decode). The map handle is kept for
-                # the instance's lifetime so the view stays valid.
-                mm = pa.memory_map(path, "r")
-                self._mmaps.append(mm)
-                t = pa.Table.from_batches(
-                    [pa.ipc.open_file(mm).get_batch(rg)])
-            else:
-                t = pq.ParquetFile(path).read_row_group(rg)
-            t = self._undo_shrink(t)
-            if f.endswith("-k.arrow"):
-                # split-payload key fragment: turn the per-file row pointer
-                # into a global index over the concatenated payload mmaps
-                off = self._payload_offset(f)
-                gp = pc.add(pc.cast(t["__pidx"], pa.int64()), off)
-                t = t.drop_columns(["__pidx"]).append_column("__gpidx", gp)
+            # the bucket's record batch is a zero-copy view of the mapped
+            # file (no decode); it keeps the mapping alive past the close
+            with pa.memory_map(os.path.join(self.exchange_dir, f)) as mm:
+                t = self._undo_shrink(pa.Table.from_batches(
+                    [pa.ipc.open_file(mm).get_batch(rg)]))
             for vc in pc.value_counts(t["__shard"]).to_pylist():
                 true_counts[vc["values"]] = (
                     true_counts.get(vc["values"], 0) + vc["counts"])
@@ -461,15 +360,7 @@ class ApplyBucket:
         outs = []
         for row in desc.to_pylist():
             table, true_counts = self._bucket_table(row)
-            if "__gpidx" in table.column_names:
-                # winners-only payload gather: ApplyShards takes exactly
-                # the LWW winners' rows from the mmap'd arrival-order
-                # tables, per source file (a take against the CHUNKED
-                # concat pays a ~10x fixed cost per call — measured 31k
-                # rows from a 20-chunk list table: 0.96s vs 0.09s)
-                stats = self.inner(table, payload=self._payload_tables)
-            else:
-                stats = self.inner(table)
+            stats = self.inner(table)
             # restore pre-collapse rows_in per shard (ADVICE r02: the
             # failure-ratio denominator and hot-partition detection must
             # see real event counts, not collapsed ones)
@@ -489,11 +380,7 @@ def cleanup_exchange(lake_dir: str, commit_id: str = None,
                      root: str = None) -> None:
     """Remove one commit's fragments (all of them without ``commit_id``),
     and the lake's exchange dir once it is empty."""
-    if root:
-        tag = os.path.basename(os.path.normpath(lake_dir)) or "lake"
-        base = os.path.join(root, tag)
-    else:
-        base = os.path.join(lake_dir, EXCHANGE_DIR)
+    base = _exchange_base(lake_dir, root)
     target = os.path.join(base, commit_id) if commit_id else base
     shutil.rmtree(target, ignore_errors=True)
     try:

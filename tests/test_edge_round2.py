@@ -65,8 +65,8 @@ def test_stale_exchange_dir_from_crashed_attempt(tmp_wal, tmp_lake):
     m = Manifest.load(tmp_lake)
     stale = exchange_path(tmp_lake, m.commit_id, c.exchange_root)
     os.makedirs(stale, exist_ok=True)
-    with open(os.path.join(stale, "frag-deadbeef.parquet"), "wb") as f:
-        f.write(b"not a parquet file")
+    with open(os.path.join(stale, "frag-deadbeef.arrow"), "wb") as f:
+        f.write(b"not an arrow file")
     replay(tmp_wal, tmp_lake, c)
     exp = oracle_replay(
         [os.path.join(tmp_wal, "seg-00000.parquet")], vocab=VOCAB)
@@ -106,7 +106,7 @@ def test_single_event_commit_and_ipc(tmp_wal, tmp_lake):
         "source": ["web"],
     })
     pq.write_table(t, os.path.join(tmp_wal, "seg-00000.parquet"))
-    replay(tmp_wal, tmp_lake, cfg(exchange_format="ipc"))
+    replay(tmp_wal, tmp_lake, cfg())
     got = read_lake(tmp_lake).to_pandas()
     assert list(got["doc_id"]) == ["only"]
     assert list(got["tokens"][0]) == [7]

@@ -112,12 +112,16 @@ def test_tiny_apply_chunk_same_state_and_quarantine(tmp_wal, tmp_lake,
 # ----------------------------------------------------- IPC exchange fragments
 @pytest.mark.usefixtures("ray_session")
 def test_ipc_exchange_same_state_as_parquet(tmp_wal, tmp_lake, tmp_path):
+    """Arrow IPC is the only fragment format: a replay whose fragments live
+    under the lake and one whose fragments live under an ``exchange_root``
+    build the same lake state, quarantine the same corrupt events, and
+    match the oracle."""
     paths = generate_changelog(tmp_wal, n_events=1200, n_segments=3, seed=37,
                                vocab=VOCAB, corrupt_frac=0.04)
-    replay(tmp_wal, tmp_lake, cfg(exchange_format="ipc"))
-    lake2 = str(tmp_path / "lake_pq")
+    replay(tmp_wal, tmp_lake, cfg())
+    lake2 = str(tmp_path / "lake_root")
     os.makedirs(lake2)
-    replay(tmp_wal, lake2, cfg(exchange_format="parquet"))
+    replay(tmp_wal, lake2, cfg(exchange_root=str(tmp_path / "x")))
     a, b = lake_state(tmp_lake), lake_state(lake2)
     assert a.equals(b)
     assert len(read_quarantine(tmp_lake)) == len(read_quarantine(lake2)) > 0
@@ -196,47 +200,50 @@ def test_lww_last_per_keys_matches_bruteforce():
 
 
 # -------------------------------------------------- fragment layout (no storm)
+FRAG_TARGET = pa.schema([
+    pa.field("op", pa.string()),
+    pa.field("doc_id", pa.string()),
+    pa.field("sequence_number", pa.int64()),
+    pa.field("tokens", pa.list_(pa.int32())),
+    pa.field("n_tok", pa.int32()),
+    pa.field("source", pa.string()),
+])
+
+
+def frag_events(n, seed, n_docs=200):
+    """``n`` valid insert events over ``n_docs`` doc ids."""
+    rng = np.random.default_rng(seed)
+    toks = [[int(x) for x in rng.integers(0, VOCAB, 4)] for _ in range(n)]
+    return pa.table({
+        "op": ["insert"] * n,
+        "doc_id": [f"doc-{v:06d}" for v in rng.integers(0, n_docs, n)],
+        "sequence_number": pa.array(
+            rng.permutation(10_000)[:n].astype(np.int64)),
+        "tokens": pa.array(toks, pa.list_(pa.int32())),
+        "n_tok": pa.array([4] * n, pa.int32()),
+        "source": ["web"] * n,
+    })
+
+
 def test_fragment_file_per_batch_row_group_per_bucket(tmp_path):
-    """Unit test of the exchange layout: one file per batch, one row group
-    per bucket, empty-batch safe, and stats → descriptors → row-group reads
-    round-trip losslessly."""
+    """Unit test of the exchange layout: one file per batch, one record
+    batch per bucket, empty-batch safe, and stats → descriptors → record
+    batch reads round-trip losslessly."""
     import pandas as pd
 
     from etl_ray.stages.exchange import (FragmentWriter, _shard_bucket,
                                           bucket_descriptors)
 
-    c = cfg()
-    target = pa.schema([
-        pa.field("op", pa.string()),
-        pa.field("doc_id", pa.string()),
-        pa.field("sequence_number", pa.int64()),
-        pa.field("tokens", pa.list_(pa.int32())),
-        pa.field("n_tok", pa.int32()),
-        pa.field("source", pa.string()),
-    ])
     exch = str(tmp_path / "exch")
     n_buckets = 8
-    fw = FragmentWriter(c, target, frozenset(), exch, n_buckets)
+    fw = FragmentWriter(cfg(), FRAG_TARGET, frozenset(), exch, n_buckets)
 
     # empty batch: no file, empty stats (ADVICE round-1 finding)
-    out = fw(target.empty_table())
+    out = fw(FRAG_TARGET.empty_table())
     assert len(out) == 0
     assert not os.path.isdir(exch) or not os.listdir(exch)
 
-    def mk(n, seed):
-        rng = np.random.default_rng(seed)
-        toks = [[int(x) for x in rng.integers(0, VOCAB, 4)] for _ in range(n)]
-        return pa.table({
-            "op": ["insert"] * n,
-            "doc_id": [f"doc-{v:06d}" for v in rng.integers(0, 200, n)],
-            "sequence_number": pa.array(
-                rng.permutation(10_000)[:n].astype(np.int64)),
-            "tokens": pa.array(toks, pa.list_(pa.int32())),
-            "n_tok": pa.array([4] * n, pa.int32()),
-            "source": ["web"] * n,
-        })
-
-    stats = [fw(mk(300, 1)), fw(mk(300, 2)), fw(mk(300, 3))]
+    stats = [fw(frag_events(300, seed)) for seed in (1, 2, 3)]
     files = {f for s in stats for f in s["file"].to_pylist()}
     assert len(files) == 3  # ONE file per batch — not batch × bucket
     all_stats = pa.concat_tables(stats).to_pandas()
@@ -246,11 +253,52 @@ def test_fragment_file_per_batch_row_group_per_bucket(tmp_path):
     total = 0
     for d in descs:
         for f, rg in zip(d["files"], d["rgs"]):
-            t = pq.ParquetFile(os.path.join(exch, f)).read_row_group(rg)
+            t = pa.ipc.open_file(os.path.join(exch, f)).get_batch(rg)
             shard = t["__shard"].to_numpy(zero_copy_only=False)
             assert (_shard_bucket(shard, n_buckets) == d["bucket"]).all()
             total += len(t)
     assert total == 900
+
+
+def test_fragment_writer_writes_ipc_batch_per_bucket(tmp_path):
+    """Every fragment is an Arrow IPC file whose record batch
+    ``row_group`` holds only rows of its stats ``bucket``; quarantined
+    rows go alone to a ``-q.arrow`` fragment with ``__reason``, and valid
+    fragments carry no ``__reason`` column."""
+    from etl_ray.stages.exchange import FragmentWriter, _shard_bucket
+
+    exch = str(tmp_path / "exch")
+    n_buckets = 8
+    fw = FragmentWriter(cfg(), FRAG_TARGET, frozenset(), exch, n_buckets)
+    n = 400
+    batch = frag_events(n, 4, n_docs=300)
+    seq = batch["sequence_number"].to_numpy().copy()
+    seq[::10] = -1  # 40 rows quarantined: negative sequence number
+    stats = fw(batch.set_column(2, "sequence_number",
+                                pa.array(seq))).to_pylist()
+    files = {r["file"] for r in stats}
+    assert all(f.endswith(".arrow") for f in files)
+    assert sorted(os.listdir(exch)) == sorted(files)
+    quarantined = 0
+    for r in stats:
+        with pa.ipc.open_file(os.path.join(exch, r["file"])) as f:
+            t = f.get_batch(r["row_group"])
+        assert len(t) == r["rows"]
+        if r["file"].endswith("-q.arrow"):
+            assert r["bucket"] == n_buckets
+            assert "__reason" in t.schema.names
+            assert (t["sequence_number"].to_numpy() == -1).all()
+            assert r["quarantined"] == len(t)
+            quarantined += len(t)
+        else:
+            assert "__reason" not in t.schema.names
+            shard = t["__shard"].to_numpy().astype(np.int64)
+            assert (_shard_bucket(shard, n_buckets) == r["bucket"]).all()
+            assert (t["sequence_number"].to_numpy() >= 0).all()
+            assert r["quarantined"] == 0
+    assert quarantined == 40
+    assert sum(r["rows"] for r in stats) == n
+    assert sum(f.endswith("-q.arrow") for f in files) == 1
 
 
 # ------------------------------------------- salting survives compaction

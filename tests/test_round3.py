@@ -255,31 +255,31 @@ def test_metrics_endpoint_scrape(tmp_wal, tmp_lake):
 
 # ------------------------------------------- exchange bytes-per-event work
 @pytest.mark.usefixtures("ray_session")
-def test_exchange_root_raw_ipc_same_state_as_parquet(tmp_wal, tmp_path):
-    """With an ``exchange_root`` outside the lake, raw-IPC fragments (split
-    payload) must produce the identical lake state as parquet fragments,
-    with corrupt rows still quarantined through the split fragment."""
-    from etl_ray.lake import read_lake, read_quarantine
+def test_exchange_root_fragments_match_oracle(tmp_wal, tmp_path):
+    """With an ``exchange_root`` outside the lake, the replay matches the
+    oracle, corrupt rows are still quarantined through the exchange, and
+    no fragment is left under the root after the commit."""
+    import os
 
-    generate_changelog(tmp_wal, n_events=2000, n_segments=2, vocab=VOCAB,
-                       seed=21, corrupt_frac=0.05)
-    frames = {}
-    quar = {}
-    for name, kw in {
-        "raw": dict(exchange_format="ipc"),
-        "parquet": dict(exchange_format="parquet"),
-    }.items():
-        lake = str(tmp_path / f"lake_{name}")
-        replay(tmp_wal, lake, cfg(exchange_root=str(tmp_path / "x" / name),
-                                  **kw))
-        frames[name] = read_lake(lake, include_seq=True).to_pandas() \
-            .sort_values("doc_id").reset_index(drop=True)
-        quar[name] = len(read_quarantine(lake))
-    assert frames["parquet"]["doc_id"].tolist() == \
-        frames["raw"]["doc_id"].tolist()
-    assert frames["parquet"]["sequence_number"].tolist() == \
-        frames["raw"]["sequence_number"].tolist()
-    assert quar["parquet"] == quar["raw"] > 0
+    from etl_ray.lake import read_lake, read_quarantine
+    from etl_ray.oracle import oracle_replay
+
+    paths = generate_changelog(tmp_wal, n_events=2000, n_segments=2,
+                               vocab=VOCAB, seed=21, corrupt_frac=0.05)
+    lake = str(tmp_path / "lake")
+    root = tmp_path / "x"
+    replay(tmp_wal, lake, cfg(exchange_root=str(root)))
+    got = read_lake(lake, include_seq=True).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    exp = oracle_replay(paths, vocab=VOCAB).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    assert got["doc_id"].tolist() == exp["doc_id"].tolist()
+    assert got["sequence_number"].tolist() == \
+        exp["sequence_number"].tolist()
+    assert [list(t) for t in got["tokens"]] == \
+        [list(t) for t in exp["tokens"]]
+    assert len(read_quarantine(lake)) > 0
+    assert not os.path.exists(root) or not os.listdir(root)
 
 
 @pytest.mark.usefixtures("ray_session")

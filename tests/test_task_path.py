@@ -4,6 +4,7 @@ pipeline, and replay + compaction are deterministic down to
 the manifest (file lists in the same order)."""
 
 import glob
+import hashlib
 import json
 import os
 import textwrap
@@ -111,6 +112,17 @@ def _manifests(lake: str) -> list:
     return out
 
 
+def _parquet_digests(lake: str) -> dict:
+    """sha256 of every Parquet file under the lake, by relative path."""
+    out = {}
+    for path in glob.glob(os.path.join(lake, "**", "*.parquet"),
+                          recursive=True):
+        with open(path, "rb") as fh:
+            out[os.path.relpath(path, lake)] = hashlib.sha256(
+                fh.read()).hexdigest()
+    return out
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_replay_and_compaction_are_deterministic(tmp_wal, tmp_path,
                                                  monkeypatch):
@@ -132,6 +144,9 @@ def test_replay_and_compaction_are_deterministic(tmp_wal, tmp_path,
     a, b = (_manifests(lake) for lake in lakes)
     assert len(a) == 4
     assert a == b
+    # and every lake Parquet file holds the same bytes
+    x, y = (_parquet_digests(lake) for lake in lakes)
+    assert x and x == y
     # some partition lists several delta files, so order was checked
     assert any(len(p["files"]) > 1
                for p in a[2]["partitions"].values())
