@@ -899,7 +899,7 @@ def _q_cdc_watermarks(sf_dir: str):
     _, lake, _ = _replay_events(sf_dir, tag="wm", part_fn=modulo_part)
     m = Manifest.load(lake)
     counts = {}
-    for c in m.lineage["commits"]:
+    for c in Manifest.history(lake):
         for part, pp in c.get("per_partition", {}).items():
             counts[int(part)] = counts.get(int(part), 0) + pp["rows"]
     rows = [

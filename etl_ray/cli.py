@@ -159,7 +159,6 @@ def main(argv=None) -> int:
         from etl_ray.state.manifest import Manifest
 
         m = Manifest.load(args.lake)
-        lin = {k: v for k, v in m.lineage.items() if k != "commits"}
         print(json.dumps(
             {
                 "version": m.version,
@@ -167,8 +166,8 @@ def main(argv=None) -> int:
                 "applied_through_segment": m.applied_through_segment,
                 "live_files": len(m.live_files()),
                 "quarantine_files": len(m.quarantine_files),
-                "lineage": lin,
-                "last_commits": m.lineage.get("commits", [])[-3:],
+                "lineage": m.lineage,
+                "last_commits": Manifest.history(args.lake, last=3),
             },
             default=str,
         ))

@@ -11,8 +11,9 @@ distributed tasks.
 
 Lake file format: every Parquet file the engine writes into the lake
 (deltas, quarantine files, compacted bases, signature files) goes through
-``write_file``, which fsyncs it before the rename, so a manifest never
-lists a file whose bytes may not have reached the disk. (Exchange
+``write_file``, which fsyncs it before the rename and its directory
+after, so a manifest never lists a file whose bytes or directory entry
+may not have reached the disk. (Exchange
 fragments are transient Arrow IPC files, not lake files, and are not
 synced: a retry rebuilds them.) The encoding
 follows from the Arrow schema alone: dictionary encoding only on string
@@ -38,6 +39,7 @@ import pyarrow.parquet as pq
 
 from etl_ray.stages.merge import merge_runs
 from etl_ray.state.manifest import Manifest
+from etl_ray.util import atomic_path
 
 CONTROL_DROP = ["op", "__reason", "__shard"]
 
@@ -67,35 +69,27 @@ def write_options(schema: pa.Schema) -> dict:
 
 def write_file(tables: Union[pa.Table, Iterable[pa.Table]],
                path: str) -> int:
-    """Write one lake Parquet file atomically (tmp, fsync, rename),
-    creating its directory, in the lake file format. ``tables`` is one
+    """Write one lake Parquet file atomically and durably
+    (``util.atomic_path``: tmp, fsync, rename, directory fsync), creating
+    its directory, in the lake file format. ``tables`` is one
     table or an iterable of tables under one schema, each written as it
     comes, so a caller can stream a file larger than memory. Returns the
     rows written."""
     if isinstance(tables, pa.Table):
         tables = [tables]
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
     writer, rows = None, 0
-    try:
-        for t in tables:
-            if writer is None:
-                writer = pq.ParquetWriter(tmp, t.schema,
-                                          **write_options(t.schema))
-            writer.write_table(t)
-            rows += len(t)
-    except Exception:
-        if writer is not None:
-            writer.close()
-            os.remove(tmp)
-        raise
-    writer.close()
-    fd = os.open(tmp, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
+    with atomic_path(path) as tmp:
+        try:
+            for t in tables:
+                if writer is None:
+                    writer = pq.ParquetWriter(tmp, t.schema,
+                                              **write_options(t.schema))
+                writer.write_table(t)
+                rows += len(t)
+        finally:
+            if writer is not None:
+                writer.close()
     return rows
 
 

@@ -696,65 +696,72 @@ def contamination_flags(ds, bench_hashes: np.ndarray, *,
     return ds.map_batches(check, batch_format="pyarrow")
 
 
+def _token_fold(lists: pa.ChunkedArray):
+    """Per-row (hash, is-null) of a token-list column: the length-salted
+    ragged polynomial fold h = L·salt + Σ (v_j+1)·C^(L-1-j) in uint64
+    (flatten + per-position power gather + scatter-add, no Python loop
+    over rows). A NULL list folds like [] and is told apart by its null
+    flag, not by a reserved hash value a real sequence could also reach."""
+    C = _SHINGLE_C
+    SALT = np.uint64(0x9E3779B97F4A7C15)
+    Lf = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
+    null = np.isnan(Lf) if Lf.dtype.kind == "f" \
+        else np.zeros(len(Lf), dtype=bool)
+    L = np.nan_to_num(Lf, nan=0.0).astype(np.int64)
+    vals = pc.list_flatten(lists).to_numpy(
+        zero_copy_only=False).astype(np.uint64)
+    n = len(L)
+    h = L.astype(np.uint64) * SALT
+    if len(vals):
+        maxlen = int(L.max())
+        pw = np.empty(maxlen, np.uint64)
+        pw[0] = np.uint64(1)
+        for k in range(1, maxlen):  # O(max doc len), not O(rows)
+            pw[k] = pw[k - 1] * C
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(L, out=off[1:])
+        row = np.repeat(np.arange(n), L)
+        idx = np.arange(len(vals), dtype=np.int64)
+        exps = off[1:][row] - 1 - idx
+        contrib = (vals + np.uint64(1)) * pw[exps]
+        np.add.at(h, row, contrib)  # uint64 wrap, commutative
+    return h, null
+
+
 def exact_dedup_tokens(ds, *, tokens_col: str = "tokens",
                        id_col: str = "doc_id"):
     """Exact dedup by token-ARRAY equality — the tokens-payload analog of
     exact_dedup: two docs are duplicates iff their token sequences are
     identical. Returns one row per distinct sequence:
-    (id = lexicographic-min member, n_dups = member count).
+    (id = lexicographic-min member, n_dups = member count). A NULL tokens
+    entry is its own group, distinct from [].
 
-    Scale shape: each batch hashes its rows with a vectorized ragged
-    polynomial fold (flatten + per-position power gather + scatter-add —
-    no Python loop over rows) and collapses batch-locally, so only one
-    row per distinct (hash) per batch enters the shuffle; the global
-    groupby then folds (min id, count) — mergeable aggregates end to end.
-    The hash folds the length in (h = L·salt + Σ (v_j+1)·C^(L-1-j) in
-    uint64), so prefix-shaped sequences don't collide trivially; at
-    64 bits accidental collisions are ~n²/2⁶⁵."""
-    import pyarrow.compute as _pc
+    Scale shape: each batch hashes its rows (``_token_fold``) and
+    collapses batch-locally, so only one row per distinct (hash, null)
+    key per batch enters the shuffle; the global groupby then folds
+    (min id, count) — mergeable aggregates end to end. The hash folds the
+    length in, so prefix-shaped sequences don't collide trivially; at 64
+    bits accidental collisions are ~n²/2⁶⁵."""
     from ray.data.aggregate import Min, Sum
 
-    C = _SHINGLE_C
-    SALT = np.uint64(0x9E3779B97F4A7C15)
+    fold = _token_fold  # looked up per call, so a test can stand in for it
 
     def per_batch(t: pa.Table) -> pa.Table:
-        lists = t[tokens_col]
-        Lf = _pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        null_mask = np.isnan(Lf) if Lf.dtype.kind == "f" \
-            else np.zeros(len(Lf), dtype=bool)
-        L = np.nan_to_num(Lf, nan=0.0).astype(np.int64)
-        vals = _pc.list_flatten(lists).to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        n = len(L)
-        h = L.astype(np.uint64) * SALT
-        # a NULL tokens entry is its own group, distinct from []
-        h[null_mask] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        if len(vals):
-            maxlen = int(L.max())
-            pw = np.empty(maxlen, np.uint64)
-            pw[0] = np.uint64(1)
-            for k in range(1, maxlen):  # O(max doc len), not O(rows)
-                pw[k] = pw[k - 1] * C
-            off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(L, out=off[1:])
-            row = np.repeat(np.arange(n), L)
-            idx = np.arange(len(vals), dtype=np.int64)
-            exps = off[1:][row] - 1 - idx
-            contrib = (vals + np.uint64(1)) * pw[exps]
-            np.add.at(h, row, contrib)  # uint64 wrap, commutative
-        f = pd.DataFrame({"h": h.view(np.int64),
+        h, null = fold(t[tokens_col])
+        f = pd.DataFrame({"h": h.view(np.int64), "null": null,
                           "i": t[id_col].to_numpy(zero_copy_only=False)})
-        g = f.groupby("h", as_index=False).agg(
+        g = f.groupby(["h", "null"], as_index=False).agg(
             doc_min=("i", "min"), n=("i", "size"))
         return pa.table({
             "h": pa.array(g["h"].to_numpy()),
+            "null": pa.array(g["null"].to_numpy(dtype=bool)),
             "doc_min": pa.array(g["doc_min"], pa.string()),
             "n": pa.array(g["n"].to_numpy(dtype=np.int64)),
         })
 
     agg = (ds.map_batches(per_batch, batch_format="pyarrow")
-           .groupby("h")
+           .groupby(["h", "null"])
            .aggregate(Min("doc_min", alias_name="doc_id"),
                       Sum("n", alias_name="n_dups")))
     return agg.map_batches(
-        lambda t: t.drop_columns(["h"]), batch_format="pyarrow")
+        lambda t: t.drop_columns(["h", "null"]), batch_format="pyarrow")

@@ -45,6 +45,7 @@ import pyarrow as pa
 
 from etl_ray.lake import live_rows, read_file, write_file
 from etl_ray.state.manifest import Manifest
+from etl_ray.util import write_atomic
 
 _META = "meta.json"
 
@@ -64,10 +65,8 @@ def _load_meta(lake_dir: str, name: str) -> Optional[dict]:
 def _write_meta(lake_dir: str, name: str, meta: dict) -> None:
     d = _index_dir(lake_dir, name)
     os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, _META + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(d, _META))
+    write_atomic(os.path.join(d, _META),
+                 json.dumps(meta, indent=1, sort_keys=True))
 
 
 class _SigPartition:

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from etl_ray.ops.dedup import md5le64
+from etl_ray.util import atomic_path, write_atomic
 
 
 def _marker(out_dir: str, shard: int) -> str:
@@ -89,15 +90,12 @@ def export_shards(ds, out_dir: str, *, key_col: str = "doc_id",
         if tokens_col is not None:
             n_tok = int(sum(len(v) for v in g[tokens_col]))
         path = os.path.join(out_dir, f"shard-{shard:05d}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(pa.Table.from_pandas(g, preserve_index=False), tmp)
-        os.replace(tmp, path)
+        with atomic_path(path) as tmp:
+            pq.write_table(pa.Table.from_pandas(g, preserve_index=False),
+                           tmp)
         meta = {"shard": shard, "n_docs": len(g), "n_tok": n_tok,
                 **config}
-        mtmp = _marker(out_dir, shard) + ".tmp"
-        with open(mtmp, "w") as f:
-            json.dump(meta, f)
-        os.replace(mtmp, _marker(out_dir, shard))
+        write_atomic(_marker(out_dir, shard), json.dumps(meta))
         return pd.DataFrame([{**meta, "skipped": False}])
 
     written = (ds.map_batches(assign, batch_format="pyarrow")

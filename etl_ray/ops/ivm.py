@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from etl_ray.state.manifest import Manifest
+from etl_ray.util import atomic_path, write_atomic
 
 _NULL = "\x00__null__"
 
@@ -109,16 +110,13 @@ def _write_state(lake_dir: str, spec: ViewSpec, state: pd.DataFrame,
     os.makedirs(d, exist_ok=True)
     state = state[spec.out_cols].sort_values(spec.group_col)
     path = os.path.join(d, f"state-v{as_of}.parquet")
-    tmp = path + ".tmp"
-    pq.write_table(pa.Table.from_pandas(state, preserve_index=False), tmp)
-    os.replace(tmp, path)
+    with atomic_path(path) as tmp:
+        pq.write_table(pa.Table.from_pandas(state, preserve_index=False),
+                       tmp)
     meta = {"as_of_version": as_of, "state_file": os.path.basename(path),
             "group_col": spec.group_col,
             "sum_cols": [list(s) for s in spec.sum_cols]}
-    mtmp = os.path.join(d, "meta.json.tmp")
-    with open(mtmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(mtmp, os.path.join(d, "meta.json"))
+    write_atomic(os.path.join(d, "meta.json"), json.dumps(meta))
 
 
 def _load_state(lake_dir: str, spec: ViewSpec):

@@ -198,12 +198,9 @@ def compact(
         p.files = [row["file"]]
         p.base_gen = new_version
         total_rows += row["rows"]
-    manifest.lineage["commits"].append(
-        {
-            "commit_id": f"compact-g{new_version}",
-            "compacted_partitions": len(stats),
-            "rows": total_rows,
-        }
-    )
-    manifest.commit()
+    manifest.commit({
+        "commit_id": f"compact-g{new_version}",
+        "compacted_partitions": len(stats),
+        "rows": total_rows,
+    })
     return {"compacted_partitions": len(stats), "rows": total_rows}

@@ -89,16 +89,10 @@ def _target_schema(manifest: Manifest, seg_paths: List[str],
 
 
 def _salted_parts(manifest: Manifest, config: EngineConfig) -> frozenset:
-    # scan back to the most recent REPLAY commit: compaction entries carry no
-    # per_partition key and must not reset hot-partition salting
-    for c in reversed(manifest.lineage.get("commits", [])):
-        last = c.get("per_partition")
-        if last is not None:
-            return frozenset(
-                int(k) for k, v in last.items()
-                if v.get("rows", 0) >= config.salt_threshold
-            )
-    return frozenset()
+    # the last replay or recovery commit's per-partition event counts: a
+    # compaction records none, so it does not reset hot-partition salting
+    return frozenset(int(k) for k, rows in manifest.partition_rows.items()
+                     if rows >= config.salt_threshold)
 
 
 def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
@@ -152,11 +146,11 @@ def _remove_files(lake_dir: str, rels: List[str]) -> None:
 
 def _fold_commit_stats(manifest: Manifest, cs: CommitStats,
                        stats_tbl: pa.Table, target: pa.Schema, t0: float,
-                       *, recovery: bool = False) -> None:
+                       *, recovery: bool = False) -> dict:
     """Fold the apply stage's per-shard stats into ``cs`` and stage the next
-    manifest version in memory (the caller commits it). A replay commit
-    appends its quarantine file; a recovery commit REPLACES the quarantine
-    with what is still invalid."""
+    manifest version in memory; return the commit record the caller
+    commits it with. A replay commit appends its quarantine file; a
+    recovery commit REPLACES the quarantine with what is still invalid."""
     from etl_ray.state.stats import DURATION_BUCKETS, ROWS_BUCKETS, Histogram
 
     quarantine: List[str] = []
@@ -205,7 +199,7 @@ def _fold_commit_stats(manifest: Manifest, cs: CommitStats,
     rec = cs.to_json()
     if recovery:
         rec["recovery"] = True
-    lin["commits"].append(rec)
+    return rec
 
 
 def replay_once(
@@ -259,7 +253,7 @@ def replay_once(
         _salted_parts(manifest, config))
 
     cs = CommitStats(commit_id=commit_id, segments=[s.number for s in segs])
-    _fold_commit_stats(manifest, cs, stats_tbl, target, t0)
+    rec = _fold_commit_stats(manifest, cs, stats_tbl, target, t0)
     if (
         config.max_failure_ratio is not None
         and cs.events_in > 0
@@ -277,7 +271,7 @@ def replay_once(
         )
     manifest.applied_through_segment = segs[-1].number
     if commit:
-        manifest.commit()
+        manifest.commit(rec)
     return cs
 
 
@@ -303,7 +297,7 @@ def recover_quarantine(
     /root/reference/etl/etl.go TaskError semantics) — lifted to rows:
     quarantine rows, land a correction rule (EngineConfig.corrections),
     recover. Still-invalid rows become the NEW quarantine (the old files
-    stay referenced by manifest history for time travel); recovered
+    stay referenced by the older manifest versions, for time travel); recovered
     events participate in LWW with their original sequence numbers, so a
     recovered event that was the latest write wins exactly as if it had
     never been quarantined. ``applied_through_segment`` is untouched.
@@ -326,14 +320,15 @@ def recover_quarantine(
         _salted_parts(manifest, config), pre_map=_strip_quarantine_meta)
 
     cs = CommitStats(commit_id=commit_id, segments=[])
-    _fold_commit_stats(manifest, cs, stats_tbl, target, t0, recovery=True)
+    rec = _fold_commit_stats(manifest, cs, stats_tbl, target, t0,
+                             recovery=True)
     if cs.valid == 0:
         # nothing recovered: remove the rewritten (identical) quarantine
         # file and leave the manifest untouched — recovery is a no-op and
         # idempotent under repeated calls
         _remove_files(lake_dir, stats_tbl["file"].to_pylist())
         return None
-    manifest.commit()
+    manifest.commit(rec)
     return cs
 
 
@@ -389,9 +384,7 @@ def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
         manifest.partition(r["part"]).files.append(r["file"])
     rows = sum(r["rows_out"] for r in stats)
     manifest.lineage["rows_written"] += rows
-    manifest.lineage["commits"].append(
-        {"commit_id": "bootstrap", "rows_written": rows})
-    manifest.commit()
+    manifest.commit({"commit_id": "bootstrap", "rows_written": rows})
     return manifest
 
 

@@ -135,7 +135,7 @@ class WorkerService:
             "version": m.version,
             "applied_through_segment": m.applied_through_segment,
             "partitions": len(m.partitions),
-            "lineage": {k: v for k, v in m.lineage.items() if k != "commits"},
+            "lineage": m.lineage,
         }
 
     def schema_dictionary(self, lake: str) -> dict:
@@ -150,7 +150,7 @@ class WorkerService:
         from etl_ray.state.manifest import Manifest
 
         m = Manifest.load(lake)
-        schema = m.schema()
+        schema = m.schema
         if schema is None:
             return {"version": m.version, "fields": []}
         schema = annotate_schema(schema, {

@@ -21,6 +21,7 @@ import os
 from typing import Iterable, Optional
 
 from etl_ray.state.stats import RowStats
+from etl_ray.util import publish, write_atomic
 
 
 class JsonlRowSink:
@@ -63,15 +64,10 @@ class JsonlRowSink:
         """Atomic publish; returns committed row count."""
         if self._closed:
             return self.stats.committed
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
         self._fh.close()
-        os.replace(self.tmp, self.path)
-        meta = {"rows": self.stats.committed}
-        mtmp = self.path + ".meta.json.tmp"
-        with open(mtmp, "w") as f:
-            json.dump(meta, f)
-        os.replace(mtmp, self.path + ".meta.json")
+        publish(self.tmp, self.path)
+        write_atomic(self.path + ".meta.json",
+                     json.dumps({"rows": self.stats.committed}))
         self._closed = True
         assert self.stats.check_invariant()
         return self.stats.committed

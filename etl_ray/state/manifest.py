@@ -9,12 +9,29 @@ rowwriter.go:180-187):
      derived from (commit_id, partition, salt). A file is LIVE only if the
      current manifest lists it; orphans from crashed runs are invisible and
      are overwritten byte-for-byte when the commit is replayed.
-  2. A commit writes ``_manifest/v<N>.json`` via tmp + os.replace, then flips
-     ``_manifest/CURRENT`` via tmp + os.replace. A crash between the two
-     leaves CURRENT at N-1; the rerun recomputes the identical v<N>.json.
+  2. A commit writes ``_manifest/v<N>.json`` (tmp, fsync, rename,
+     directory fsync: ``util.atomic_path``), then flips
+     ``_manifest/CURRENT`` the same way. A crash between the two leaves
+     CURRENT at N-1; the rerun recomputes the identical v<N>.json.
+     Each version is a constant-size snapshot: the partitions' live files
+     and watermarks, the schema, the quarantine files, the lineage
+     counters (``commits_total`` among them), the stage histograms folded
+     over every commit, the per-partition event counts of the last replay
+     commit (for hot-partition salting) and, under ``"commit"``, that
+     commit's own record alone. Nothing in it grows with the number of
+     commits before it.
   3. ``applied_through_segment`` is the global watermark: replay resumes from
      the first segment after it (reference: Gardener job tracker state,
      /root/reference/active/poller.go:169-191).
+
+History is the own records of the retained versions 1..CURRENT, read on
+demand (``Manifest.history``); nothing on the commit path reads it.
+``prune`` drops old versions, and with them their records from the
+history, while the counters and folded histograms of the versions it keeps
+still count them. A version written in the earlier format embeds every
+record up to its own under ``lineage.commits``; loading one folds that
+list (its last record is the version's own, the rest is history) into the
+counters and histograms above, so such lakes open, replay on and compact.
 
 Lineage counters keep the reference's row-stats invariant
 accepted == committed + failed(quarantined) (/root/reference/etl/etl.go:23-35).
@@ -24,7 +41,7 @@ filesystem (local disk or a shared fs mount) — tmp + os.replace IS the
 commit primitive. On an object store the same protocol maps to
 conditional puts (S3 If-None-Match / GCS x-goog-if-generation-match on
 CURRENT) with data files staying immutable+deterministic exactly as
-here; that swap is confined to _flush/_load (everything else goes
+here; that swap is confined to ``commit``/``load`` (everything else goes
 through pq.read_table, which already accepts URIs). Deliberately NOT
 emulated over pyarrow.fs, because plain object-store rename is
 copy+delete — non-atomic — and would silently break rule 2.
@@ -34,12 +51,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import pyarrow as pa
 
 from etl_ray.schema import schema_from_hex, schema_to_hex
+from etl_ray.state.stats import fold_histograms
+from etl_ray.util import write_atomic
 
 MANIFEST_DIR = "_manifest"
 VIEWS_DIR = "_views"
@@ -74,8 +94,30 @@ def _empty_lineage() -> dict:
         "quarantined": 0,
         "rows_written": 0,
         "deletes": 0,
-        "commits": [],
+        "commits_total": 0,
     }
+
+
+def _committed(lake_dir: str) -> int:
+    """The version ``_manifest/CURRENT`` names; 0 without one."""
+    current = os.path.join(lake_dir, MANIFEST_DIR, "CURRENT")
+    if not os.path.exists(current):
+        return 0
+    with open(current) as f:
+        return int(f.read().strip())
+
+
+def _versions(manifest_dir: str) -> List[int]:
+    """Version numbers with a ``v<N>.json`` on disk, ascending."""
+    if not os.path.isdir(manifest_dir):
+        return []
+    return sorted(int(m.group(1)) for m in map(
+        re.compile(r"^v(\d+)\.json$").match, os.listdir(manifest_dir)) if m)
+
+
+def _read_version(lake_dir: str, version: int) -> dict:
+    with open(os.path.join(lake_dir, MANIFEST_DIR, f"v{version}.json")) as f:
+        return json.load(f)
 
 
 @dataclass
@@ -87,7 +129,15 @@ class Manifest:
     applied_through_segment: int = -1
     partitions: Dict[int, PartitionState] = field(default_factory=dict)
     quarantine_files: List[str] = field(default_factory=list)
+    # counters over every commit, ``commits_total`` included
     lineage: dict = field(default_factory=_empty_lineage)
+    # the commits' stage histograms (name -> Histogram json), folded
+    histograms: dict = field(default_factory=dict)
+    # per-partition event counts of the last commit that recorded them
+    # (replay or recovery): what hot-partition salting reads
+    partition_rows: Dict[str, int] = field(default_factory=dict)
+    # this version's own commit record
+    record: Optional[dict] = None
 
     # ------------------------------------------------------------------ io
     @property
@@ -126,7 +176,19 @@ class Manifest:
             "partitions": {str(k): v.to_json() for k, v in self.partitions.items()},
             "quarantine_files": self.quarantine_files,
             "lineage": self.lineage,
+            "histograms": self.histograms,
+            "partition_rows": self.partition_rows,
+            "commit": self.record,
         }
+
+    def _fold(self, record: dict) -> None:
+        """Fold one commit record into the counters that outlive it."""
+        self.record = record
+        self.lineage["commits_total"] += 1
+        fold_histograms(self.histograms, record.get("histograms"))
+        if "per_partition" in record:
+            self.partition_rows = {
+                str(k): v["rows"] for k, v in record["per_partition"].items()}
 
     @staticmethod
     def load(lake_dir: str, version: Optional[int] = None) -> "Manifest":
@@ -142,11 +204,7 @@ class Manifest:
         ``v<N>.json`` may exist, written by a commit that crashed before
         the CURRENT flip, but it was never committed.
         """
-        current = os.path.join(lake_dir, MANIFEST_DIR, "CURRENT")
-        committed = 0
-        if os.path.exists(current):
-            with open(current) as f:
-                committed = int(f.read().strip())
+        committed = _committed(lake_dir)
         if version is None:
             version = committed
         elif not 0 <= version <= committed:
@@ -155,8 +213,7 @@ class Manifest:
                 f"{committed})")
         if version == 0:
             return Manifest(lake_dir=lake_dir)
-        with open(os.path.join(lake_dir, MANIFEST_DIR, f"v{version}.json")) as f:
-            d = json.load(f)
+        d = _read_version(lake_dir, version)
         m = Manifest(
             lake_dir=lake_dir,
             version=d["version"],
@@ -168,54 +225,69 @@ class Manifest:
             },
             quarantine_files=list(d.get("quarantine_files", [])),
             lineage=d.get("lineage", _empty_lineage()),
+            histograms=d.get("histograms", {}),
+            partition_rows=d.get("partition_rows", {}),
+            record=d.get("commit"),
         )
+        commits = m.lineage.pop("commits", None)
+        if commits is not None:
+            # a version that embeds the whole history (the earlier format):
+            # derive the counters it lacks by folding that history
+            m.lineage["commits_total"] = 0
+            for rec in commits:
+                m._fold(rec)
         return m
 
-    def commit(self) -> None:
-        """Atomically publish this manifest as the new current version.
+    @staticmethod
+    def history(lake_dir: str, last: Optional[int] = None) -> List[dict]:
+        """Commit records of the retained versions 1..CURRENT, oldest first
+        (only the ``last`` ones when given, reading only their versions).
+        Versions ``prune`` removed drop out; the counters and folded
+        histograms of later versions still count them. A version in the
+        earlier format embeds every record before it, so the walk back
+        stops there."""
+        committed = _committed(lake_dir)
+        out: List[dict] = []
+        for v in reversed(_versions(os.path.join(lake_dir, MANIFEST_DIR))):
+            if last is not None and len(out) >= last:
+                break
+            if v > committed:
+                continue
+            d = _read_version(lake_dir, v)
+            commits = d.get("lineage", {}).get("commits")
+            if commits is not None:
+                out.extend(reversed(commits))
+                break
+            if d.get("commit") is not None:
+                out.append(d["commit"])
+        if last is not None:
+            del out[last:]
+        return out[::-1]
+
+    def commit(self, record: dict) -> None:
+        """Fold ``record`` into the lineage and atomically publish this
+        manifest as the new current version (rule 2).
 
         Caller must have already bumped ``self.version`` to the new version
-        number and updated partitions/watermarks/lineage.
+        number and updated partitions/watermarks/lineage counters.
         """
+        self._fold(record)
         os.makedirs(self.manifest_dir, exist_ok=True)
-        path = os.path.join(self.manifest_dir, f"v{self.version}.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            # compact dumps() runs CPython's C encoder (an indent, or
-            # json.dump, falls back to the pure-Python one)
-            f.write(json.dumps(self.to_json(), sort_keys=True,
-                               separators=(",", ":")))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        cur = os.path.join(self.manifest_dir, "CURRENT")
-        tmp = cur + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(str(self.version))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, cur)
+        # compact dumps() runs CPython's C encoder (an indent, or
+        # json.dump, falls back to the pure-Python one)
+        write_atomic(os.path.join(self.manifest_dir, f"v{self.version}.json"),
+                     json.dumps(self.to_json(), sort_keys=True,
+                                separators=(",", ":")))
+        write_atomic(os.path.join(self.manifest_dir, "CURRENT"),
+                     str(self.version))
 
     # ------------------------------------------------------------- utility
-    def _versions_on_disk(self) -> List[int]:
-        import re
-
-        out = []
-        if not os.path.isdir(self.manifest_dir):
-            return out
-        for fn in os.listdir(self.manifest_dir):
-            m = re.match(r"^v(\d+)\.json$", fn)
-            if m:
-                out.append(int(m.group(1)))
-        return sorted(out)
-
     def _live_across_versions(self) -> set:
         """Union of data files referenced by ANY retained manifest version —
         the set time travel still needs."""
         live = set()
-        for v in self._versions_on_disk():
-            with open(os.path.join(self.manifest_dir, f"v{v}.json")) as f:
-                d = json.load(f)
+        for v in _versions(self.manifest_dir):
+            d = _read_version(self.lake_dir, v)
             for p in d.get("partitions", {}).values():
                 live.update(p["files"])
             live.update(d.get("quarantine_files", []))
@@ -253,7 +325,7 @@ class Manifest:
         versions, then gc — reclaims files only old snapshots referenced
         (the Delta-Lake VACUUM analog; time travel past the horizon is
         gone afterwards)."""
-        versions = self._versions_on_disk()
+        versions = _versions(self.manifest_dir)
         cut = versions[:-keep_last] if keep_last > 0 else versions
         for v in cut:
             if v == self.version:

@@ -11,6 +11,7 @@ events_in == valid + quarantined and valid == rows_written(+dedup_collapsed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 @dataclass
@@ -135,10 +136,21 @@ class Histogram:
         return out
 
 
+def fold_histograms(into: dict, hists: Optional[dict]) -> None:
+    """Merge a commit's histograms (name -> Histogram json) into the running
+    fold ``into``, in place. The manifest folds each commit once, when it
+    commits, so nothing re-folds the history per scrape."""
+    for name, hjson in (hists or {}).items():
+        h = Histogram.from_json(hjson)
+        if name in into:
+            h = Histogram.from_json(into[name]).merge(h)
+        into[name] = h.to_json()
+
+
 def prometheus_text(manifest) -> str:
     """Manifest lineage → Prometheus text exposition: the lineage counters
-    as counters, per-commit per-stage histograms merged across commits
-    (the scrape surface of the reference's /metrics,
+    as counters, and the per-stage histograms the manifest folded over
+    every commit (the scrape surface of the reference's /metrics,
     metrics/metrics.go:398-555)."""
     lin = manifest.lineage
     lines = []
@@ -150,15 +162,8 @@ def prometheus_text(manifest) -> str:
     lines.append("# TYPE etl_ray_manifest_version gauge")
     lines.append(f"etl_ray_manifest_version {manifest.version}")
     lines.append("# TYPE etl_ray_commits_total counter")
-    lines.append(f"etl_ray_commits_total {len(lin.get('commits', []))}")
-    merged: dict = {}
-    for c in lin.get("commits", []):
-        for hname, hjson in (c.get("histograms") or {}).items():
-            h = Histogram.from_json(hjson)
-            if hname in merged:
-                merged[hname].merge(h)
-            else:
-                merged[hname] = h
-    for hname in sorted(merged):
-        lines.extend(merged[hname].prometheus_lines(f"etl_ray_{hname}"))
+    lines.append(f"etl_ray_commits_total {lin['commits_total']}")
+    for hname in sorted(manifest.histograms):
+        lines.extend(Histogram.from_json(manifest.histograms[hname])
+                     .prometheus_lines(f"etl_ray_{hname}"))
     return "\n".join(lines) + "\n"

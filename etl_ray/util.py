@@ -1,9 +1,11 @@
-"""Small Ray helpers."""
+"""Small Ray helpers, and the atomic, durable file writer."""
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import functools
+import os
 import shutil
 import tempfile
 
@@ -108,6 +110,47 @@ def scratch_dir(prefix: str) -> str:
     lives under one root per process, made in the system temp dir on first
     use and removed when the process exits."""
     return tempfile.mkdtemp(prefix=prefix, dir=_scratch_root())
+
+
+def _fsync_path(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def publish(tmp: str, path: str) -> None:
+    """Durably move a fully written ``tmp`` over ``path``: fsync its bytes,
+    rename it, then fsync the directory so the rename itself survives a
+    power loss (an un-synced directory entry can point back at the old
+    file, or at none)."""
+    _fsync_path(tmp)
+    os.replace(tmp, path)
+    _fsync_path(os.path.dirname(path) or ".")
+
+
+@contextlib.contextmanager
+def atomic_path(path: str):
+    """Yield ``path + ".tmp"`` for the caller to write; on a clean exit
+    ``publish`` it over ``path``. On an error the tmp file is removed and
+    nothing is published. The one writer of every file the engine renames
+    into place, except exchange fragments (transient; a retry rebuilds
+    them)."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    publish(tmp, path)
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through ``atomic_path``."""
+    with atomic_path(path) as tmp, open(tmp, "w") as f:
+        f.write(text)
 
 
 def resolve_fs(path: str):

@@ -269,6 +269,37 @@ def test_exact_dedup_tokens_hand_case(ray_session):
     assert len(out2) == 3 and (out2["n_dups"] == 1).all()
 
 
+def test_exact_dedup_tokens_null_key_beside_colliding_hash(ray_session,
+                                                          monkeypatch):
+    """A real sequence whose hash equals the one NULL entries get stays
+    apart from them: the null key is carried beside the hash."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from etl_ray.ops import dedup
+
+    fold = dedup._token_fold
+
+    def colliding(lists):
+        h, null = fold(lists)
+        plant = np.asarray(dedup.pc.list_value_length(lists).fill_null(3)
+                           .to_numpy()) == 3
+        h[plant] = np.uint64(0xFFFFFFFFFFFFFFFF)  # nulls and every 3-list
+        return h, null
+
+    monkeypatch.setattr(dedup, "_token_fold", colliding)
+    t = pa.table({
+        "doc_id": pa.array(["a", "b", "c", "d", "e"], pa.string()),
+        "tokens": pa.array([[1, 2, 3], None, [1, 2, 3], None, [5]],
+                           pa.list_(pa.int32())),
+    })
+    out = (dedup.exact_dedup_tokens(rd.from_arrow(t)).to_pandas()
+           .sort_values("doc_id").reset_index(drop=True))
+    assert out["doc_id"].tolist() == ["a", "b", "e"]
+    assert out["n_dups"].tolist() == [2, 2, 1]
+
+
 def test_exact_dedup_tokens_null_entries(ray_session):
     import pyarrow as pa
     import ray.data as rd

@@ -69,7 +69,7 @@ def test_recover_partial(tmp_path):
     assert len(m1.quarantine_files) == (1 if cs.quarantined else 0)
     # applied_through watermark untouched — recovery is not a WAL commit
     assert m1.applied_through_segment == m0.applied_through_segment
-    assert m1.lineage["commits"][-1].get("recovery") is True
+    assert m1.record.get("recovery") is True
 
     # recovered events joined LWW with their ORIGINAL sequence numbers
     got = A.lake_final_state(lake)

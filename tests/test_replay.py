@@ -175,8 +175,9 @@ def test_salted_replay_same_result(tmp_wal, tmp_lake, tmp_path):
 
 
 def test_write_file_fsyncs_before_rename(tmp_path, monkeypatch):
-    """A lake file's bytes are synced before the rename publishes it, so a
-    committed manifest never lists a file that may not be on disk."""
+    """A lake file's bytes are synced before the rename publishes it, and
+    its directory after, so a committed manifest never lists a file that
+    may not be on disk."""
     import os
 
     from etl_ray.lake import write_file
@@ -197,7 +198,8 @@ def test_write_file_fsyncs_before_rename(tmp_path, monkeypatch):
     path = str(tmp_path / "part=0" / "delta.parquet")
     assert write_file(pa.table({"doc_id": ["a", "b"]}), path) == 2
     monkeypatch.undo()
-    assert calls == [("fsync", os.stat(path).st_ino), ("replace", path)]
+    assert calls == [("fsync", os.stat(path).st_ino), ("replace", path),
+                     ("fsync", os.stat(os.path.dirname(path)).st_ino)]
     assert pq.read_table(path)["doc_id"].to_pylist() == ["a", "b"]
 
 

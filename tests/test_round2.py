@@ -319,7 +319,7 @@ def test_salted_parts_survive_compaction(tmp_wal, tmp_lake):
     assert before  # hot partitions flagged after a replay commit
     compact(tmp_lake, c, force=True)
     m2 = Manifest.load(tmp_lake)
-    assert m2.lineage["commits"][-1]["commit_id"].startswith("compact-")
+    assert m2.record["commit_id"].startswith("compact-")
     assert _salted_parts(m2, c) == before  # unchanged by compaction
     # and the next replay still salts: delta files with salt suffixes > 0
     replay(tmp_wal, tmp_lake, c)

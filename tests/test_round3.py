@@ -253,6 +253,43 @@ def test_metrics_endpoint_scrape(tmp_wal, tmp_lake):
     assert m and n and m.group(1) == n.group(1)
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_schema_endpoint(tmp_wal, tmp_lake, tmp_path):
+    """/schema serves the data dictionary of the committed schema: no
+    fields on an empty lake, every field with its type on a replayed one."""
+    import json as _json
+    import threading
+    import urllib.request
+
+    from etl_ray.service import WorkerService
+
+    svc = WorkerService()
+    t = threading.Thread(target=svc.serve_forever, daemon=True)
+    t.start()
+
+    def get(lake):
+        with urllib.request.urlopen(
+                f"http://127.0.0.1:{svc.port}/schema?lake={lake}") as r:
+            return _json.loads(r.read())
+
+    try:
+        empty = get(str(tmp_path / "empty"))
+        generate_changelog(tmp_wal, n_events=300, n_segments=1,
+                           vocab=VOCAB, seed=11)
+        replay(tmp_wal, tmp_lake, cfg())
+        full = get(tmp_lake)
+    finally:
+        svc.shutdown()
+    assert empty == {"version": 0, "fields": []}
+    assert full["version"] == 1
+    types = {f["path"]: f["type"] for f in full["fields"]}
+    assert types["doc_id"] == "string"
+    assert types["sequence_number"] == "int64"
+    assert "tokens" in types
+    assert all(f["description"] for f in full["fields"]
+               if f["path"] == "doc_id")
+
+
 # ------------------------------------------- exchange bytes-per-event work
 @pytest.mark.usefixtures("ray_session")
 def test_exchange_root_fragments_match_oracle(tmp_wal, tmp_path):

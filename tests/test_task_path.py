@@ -102,12 +102,13 @@ def _manifests(lake: str) -> list:
             os.path.basename(p)[1:-len(".json")])):
         with open(path) as fh:
             m = json.load(fh)
-        for c in m["lineage"]["commits"]:
-            for k in ("wall_sec", "events_per_sec", "histograms"):
-                c.pop(k, None)
-            for pp in (c.get("per_partition") or {}).values():
-                pp.pop("sec", None)
-                pp.pop("rows_per_sec", None)
+        c = m["commit"]
+        for k in ("wall_sec", "events_per_sec", "histograms"):
+            c.pop(k, None)
+        for pp in (c.get("per_partition") or {}).values():
+            pp.pop("sec", None)
+            pp.pop("rows_per_sec", None)
+        m["histograms"].pop("shard_apply_seconds", None)
         out.append(m)
     return out
 
