@@ -960,6 +960,51 @@ def _q_cdc_recover(sf_dir: str):
     return A.lake_final_state(lake)
 
 
+def _q_cdc_recover_compacted(sf_dir: str):
+    """``cdc_recover`` with compaction between commits: recovery runs on a
+    lake whose partitions went through every compaction kind (a promoted
+    lone delta, delta runs folded beside their base, rewritten bases), so
+    a quarantined event must still lose to a newer delete kept in a run
+    or a base. Same final state, same DuckDB oracle."""
+    import pyarrow.parquet as pq
+
+    from etl_ray.config import EngineConfig
+    from etl_ray.pipelines import analogs as A
+    from etl_ray.pipelines import compaction
+    from etl_ray.pipelines.replay import recover_quarantine, replay_once
+
+    wal, lake = A.fresh_dirs("recover_compacted")
+    n = pq.ParquetFile(os.path.join(sf_dir, "events.parquet")).metadata.num_rows
+    A.events_to_changelog(sf_dir, wal, seg_size=max(1, -(-n // 8)))
+    cfg = EngineConfig(num_partitions=8, payload=A.events_payload(300.0))
+    kinds = dict.fromkeys(compaction.KINDS, 0)
+
+    def step(commits, **kw):
+        for _ in range(commits):
+            replay_once(wal, lake, cfg, max_segments=1)
+        res = compaction.compact(lake, cfg, **kw)
+        for k in kinds:
+            kinds[k] += res[k]
+
+    step(1, min_deltas=1)  # each partition's lone delta is promoted
+    step(2, force=True)  # bases rewritten
+    # the events table holds ~67 events per user, so every segment touches
+    # most of a partition's docs and any two runs outweigh its base: the
+    # policy never folds runs here. Lift the ratio for the last rounds so
+    # their tombstones sit in folded runs when recovery runs.
+    ratio, compaction.RATIO = compaction.RATIO, float("inf")
+    try:
+        step(2, min_deltas=2)  # base + two deltas: one run
+        step(3, min_deltas=2)  # base + run + three deltas: one run
+    finally:
+        compaction.RATIO = ratio
+    if not all(kinds.values()):
+        raise RuntimeError(f"a compaction kind never ran: {kinds}")
+    recover_quarantine(
+        lake, EngineConfig(num_partitions=8, payload=A.events_payload(600.0)))
+    return A.lake_final_state(lake)
+
+
 def _q_pt_pollution(sf_dir: str):
     """Pollution-buffer flags (reference parser/pt.go:627-669 analog)."""
     from etl_ray.pipelines.telemetry import pt_pollution
@@ -2919,6 +2964,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cdc_replay_corrected": _q_cdc_replay_corrected,
         "cdc_time_travel": _q_cdc_time_travel,
         "cdc_recover": _q_cdc_recover,
+        "cdc_recover_compacted": _q_cdc_recover_compacted,
         "pt_pollution": _q_pt_pollution,
         # parser analogs (SURVEY.md §2.3-2.5, §2.8)
         "switch_group_agg": A.switch_group_agg,
@@ -3038,13 +3084,7 @@ SELECT doc_id, last_seq, value, event_type, k
 FROM r WHERE rn = 1 AND op <> 'delete'
 ORDER BY doc_id
 """
-    return {
-        "cdc_replay_lww": lww,
-        "cdc_replay_resume": lww,
-        "cdc_replay_salted": lww,
-        "cdc_replay_compacted": lww,
-        "cdc_replay_evolution": evo,
-        "cdc_recover": """
+    recover = """
 WITH c AS (
   SELECT CAST(user_id AS VARCHAR) AS doc_id, event_id AS last_seq,
          value, event_type,
@@ -3058,7 +3098,15 @@ WITH c AS (
 SELECT doc_id, last_seq, value, event_type
 FROM r WHERE rn = 1 AND op <> 'delete'
 ORDER BY doc_id
-""",
+"""
+    return {
+        "cdc_replay_lww": lww,
+        "cdc_replay_resume": lww,
+        "cdc_replay_salted": lww,
+        "cdc_replay_compacted": lww,
+        "cdc_replay_evolution": evo,
+        "cdc_recover": recover,
+        "cdc_recover_compacted": recover,
         "cdc_quarantine": """
 SELECT event_id, CAST(user_id AS VARCHAR) AS doc_id, value
 FROM events WHERE event_type <> 'error' AND value > 300

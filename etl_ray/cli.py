@@ -84,7 +84,8 @@ def main(argv=None) -> int:
     sp.add_argument("--base", required=True)
     common(sp)
 
-    sp = sub.add_parser("compact", help="merge delta runs into new bases")
+    sp = sub.add_parser("compact", help="promote, fold or merge delta runs "
+                        "(prints the promoted/minor/major counts)")
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--min-deltas", type=int, default=None)
     common(sp)

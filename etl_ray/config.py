@@ -256,8 +256,11 @@ class EngineConfig:
       partition is salted.
     batch_size: rows per validate batch. Token rows are ~0.5-2 KB; 8192 rows
       ≈ 8-16 MB per batch.
-    compact_min_deltas: compaction triggers for partitions with at least
-      this many delta files.
+    compact_min_deltas: compaction takes the partitions with at least this
+      many delta files (every file but the base; a folded delta run counts
+      as one). Each then folds its runs into one run, or rewrites its base
+      once the runs' data bytes reach the base's (``compaction.RATIO``);
+      at 1, a lone delta with no base is promoted to base as it is.
     """
 
     num_partitions: int = 32

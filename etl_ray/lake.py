@@ -2,7 +2,11 @@
 
 Reading is embarrassingly parallel and involves NO shuffle: the lake is
 already hash-partitioned by doc_id, so each partition's base+delta runs are
-merged on their own (LWW by sequence_number, tombstones dropped). The
+merged on their own (LWW by sequence_number, tombstones dropped). A
+partition's files are its base (when ``base_gen > 0``) and then its delta
+runs in commit order; any of them, the base included, may hold tombstones
+and an ``op`` column (a promoted delta, a folded run, a held delete), so
+every reader merges them all through ``merge_runs(drop_deletes=True)``. The
 work-list (one descriptor per partition) is scouted driver-side from the
 manifest and packed into at most two read tasks per cluster CPU
 (``util.task_count``); each task merges its partitions one at a time, so

@@ -356,8 +356,10 @@ def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
       the files the commit wrote are removed and the lake stays at
       version 0: a quarantined row with sequence number -1 could never
       pass recovery's bound of 0.
-    - Each partition gets one ``delta-c000001-p<k>-s0.parquet``, which the
-      first compaction folds into a base like any delta.
+    - Each partition gets one ``delta-c000001-p<k>-s0.parquet``. A forced
+      compaction rewrites it into a base like any delta; an unforced one
+      that takes a lone delta (``min_deltas=1``) promotes it to base
+      without writing a new file.
     - The lineage record is ``{"commit_id": "bootstrap", "rows_written":
       N}``: base rows are not events, so ``events_in``, ``valid`` and
       ``quarantined`` stay 0.

@@ -295,9 +295,13 @@ class Manifest:
 
     def gc(self) -> List[str]:
         """Delete data files not referenced by ANY retained manifest version
-        (orphans from crashed, never-committed runs). Historical versions'
-        files are kept so time travel stays valid; reclaim them with
-        ``prune``. Returns removed paths."""
+        (orphans from crashed, never-committed runs), and the ``.tmp``
+        files killed writers left in the lake and ``_manifest/``
+        (``util.atomic_path`` names each one uniquely, so no rerun
+        overwrites it). Historical versions' files are kept so time travel
+        stays valid; reclaim them with ``prune``. Returns removed paths."""
+        from etl_ray.stages.exchange import EXCHANGE_DIR
+
         live = self._live_across_versions() | set(
             self.live_files()) | set(self.quarantine_files)
         removed = []
@@ -305,17 +309,17 @@ class Manifest:
             for fn in files:
                 full = os.path.join(root, fn)
                 rel = os.path.relpath(full, self.lake_dir)
-                if rel.startswith(MANIFEST_DIR):
-                    continue
                 # maintained secondary state (IVM views, signature
                 # indexes) lives under _views/ with its own meta/versioning
                 # — it references lake versions, the manifest never
-                # references IT, so the liveness walk must not touch it
-                if rel.startswith(VIEWS_DIR):
+                # references IT, so the liveness walk must not touch it;
+                # the exchange cleans up after itself
+                if rel.startswith((VIEWS_DIR, EXCHANGE_DIR)):
                     continue
-                if not fn.endswith(".parquet"):
-                    continue
-                if rel not in live:
+                if fn.endswith(".tmp") or (
+                        fn.endswith(".parquet")
+                        and not rel.startswith(MANIFEST_DIR)
+                        and rel not in live):
                     os.remove(full)
                     removed.append(rel)
         return removed

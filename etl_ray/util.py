@@ -8,6 +8,7 @@ import functools
 import os
 import shutil
 import tempfile
+import uuid
 
 import pyarrow as pa
 
@@ -132,12 +133,13 @@ def publish(tmp: str, path: str) -> None:
 
 @contextlib.contextmanager
 def atomic_path(path: str):
-    """Yield ``path + ".tmp"`` for the caller to write; on a clean exit
-    ``publish`` it over ``path``. On an error the tmp file is removed and
-    nothing is published. The one writer of every file the engine renames
-    into place, except exchange fragments (transient; a retry rebuilds
-    them)."""
-    tmp = path + ".tmp"
+    """Yield a tmp path beside ``path`` for the caller to write; on a clean
+    exit ``publish`` it over ``path``. On an error the tmp file is removed
+    and nothing is published. Each call gets its own tmp name, so two
+    writers of one path never share bytes: the last rename wins whole.
+    The one writer of every file the engine renames into place, except
+    exchange fragments (transient; a retry rebuilds them)."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         yield tmp
     except BaseException:

@@ -65,7 +65,8 @@ def test_read_lake_column_pruning(tmp_wal, tmp_lake):
 @pytest.mark.usefixtures("ray_session")
 def test_compact_empty_lake(tmp_lake):
     res = compact(tmp_lake, cfg())
-    assert res == {"compacted_partitions": 0, "rows": 0}
+    assert res == {"compacted_partitions": 0, "rows": 0, "promoted": 0,
+                   "minor": 0, "major": 0, "bytes_written": 0}
 
 
 @pytest.mark.usefixtures("ray_session")

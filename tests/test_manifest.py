@@ -249,3 +249,75 @@ def test_uncommitted_version_record_is_not_counted(tmp_wal, tmp_lake,
     assert again["histograms"]["shard_rows"] == \
         crashed["histograms"]["shard_rows"]
     assert again["lineage"] == crashed["lineage"]
+
+
+def test_concurrent_writers_of_one_path_publish_whole_files(tmp_path):
+    """Two threads publish different contents to one path through
+    ``atomic_path``, each writing in chunks: no publish fails, and the
+    file always ends as one writer's whole content. With one shared tmp
+    name, one writer's rename takes the other's half-written file and the
+    other's rename then finds no tmp."""
+    import threading
+
+    from etl_ray.util import atomic_path
+
+    path = str(tmp_path / "v1.json")
+    contents = [bytes([ord("a") + i]) * (1 << 16) for i in range(2)]
+    errors = []
+
+    def writer(data):
+        try:
+            for _ in range(100):
+                with atomic_path(path) as tmp, open(tmp, "wb") as f:
+                    for i in range(0, len(data), 4096):
+                        f.write(data[i:i + 4096])
+                        f.flush()
+                        time.sleep(0)
+        except Exception as e:  # collected; asserted in the main thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=writer, args=(c,)) for c in contents]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    with open(path, "rb") as f:
+        assert f.read() in contents
+    assert os.listdir(tmp_path) == ["v1.json"]
+
+
+def test_gc_removes_tmp_files_killed_writers_left(tmp_lake):
+    """A writer killed inside ``atomic_path`` leaves its uniquely named tmp
+    beside the target; ``gc`` removes those in the lake and ``_manifest/``
+    and keeps every listed file and the ``_views/`` state."""
+    from etl_ray.util import atomic_path
+
+    m = Manifest(lake_dir=tmp_lake, num_partitions=2)
+    rel = os.path.join("part=0", "delta-c000001-p0-s0.parquet")
+    write_file(pa.table({"doc_id": ["a"], "sequence_number": [1]}),
+               os.path.join(tmp_lake, rel))
+    m.partition(0).files = [rel]
+    m.version = 1
+    m.commit({"commit_id": "c000001"})
+
+    def killed_writer(path):
+        # entered and never exited: the process died while writing
+        tmp = atomic_path(path).__enter__()
+        with open(tmp, "wb") as f:
+            f.write(b"half")
+        return os.path.relpath(tmp, tmp_lake)
+
+    left = {killed_writer(os.path.join(tmp_lake, rel)),
+            killed_writer(os.path.join(m.manifest_dir, "v2.json"))}
+    views = os.path.join(tmp_lake, manifest_mod.VIEWS_DIR, "v")
+    os.makedirs(views)
+    with open(os.path.join(views, "meta.json.tmp"), "w") as f:
+        f.write("{}")
+    assert all(p.endswith(".tmp") for p in left)
+
+    assert set(Manifest.load(tmp_lake).gc()) == left
+    assert not any(os.path.exists(os.path.join(tmp_lake, p)) for p in left)
+    assert os.path.exists(os.path.join(tmp_lake, rel))
+    assert os.path.exists(os.path.join(views, "meta.json.tmp"))
+    assert Manifest.load(tmp_lake).version == 1

@@ -26,6 +26,7 @@ UNSAMPLED = [
     "cdc_dedup_incremental",
     "cdc_ivm_view",
     "cdc_lake_diff",
+    "cdc_recover_compacted",
     "chunk_sequences",
     "contamination_check",
     "corpus_curation_gopher",

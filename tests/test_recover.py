@@ -186,10 +186,15 @@ def test_compaction_keeps_delete_a_quarantined_event_loses_to(
     compact(lake, cfg(10), force=True)
     m = Manifest.load(lake)
     assert m.quarantine_files
-    # the bases keep op while a quarantined doc_id may need its tombstone
-    assert all("op" in _columns(lake, p.files[0])
-               for p in m.partitions.values())
-    if rows_per_range is not None:  # each base has one row group per range
+    # Y's base keeps its tombstone (and op) while the quarantine holds Y
+    bases = [pq.read_table(os.path.join(lake, p.files[0]))
+             for p in m.partitions.values()]
+    assert any("op" in b.column_names and {"doc_id": "Y", "op": "delete"}
+               in b.select(["doc_id", "op"]).to_pylist() for b in bases)
+    if rows_per_range is not None:
+        # a multi-range base keeps op while any doc_id is held
+        assert all("op" in b.column_names for b in bases)
+        # each base has one row group per range
         assert any(pq.ParquetFile(os.path.join(lake, p.files[0]))
                    .num_row_groups > 1 for p in m.partitions.values())
     assert "Y" not in live(lake)

@@ -122,6 +122,9 @@ def test_cli_end_to_end(tmp_path):
     res = run("compact", "--lake", lake, "--force",
               "--num-partitions", "4")[0]
     assert res["compacted_partitions"] == 4
+    # bootstrap and replay deltas, no base: each base is written whole
+    assert (res["promoted"], res["minor"], res["major"]) == (0, 0, 4)
+    assert res["bytes_written"] > 0
     gc = run("gc", "--lake", lake)[0]
     assert all("delta-" in f or "base-g" in f for f in gc["removed"])
     exp = run("export", "--lake", lake, "--out", out,
