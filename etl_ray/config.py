@@ -18,7 +18,6 @@ bound (``stages.exchange.APPLY_CHUNK_ROWS``).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,16 +57,6 @@ def hashed_part(doc_ids: pa.Array, num_partitions: int) -> np.ndarray:
         out[mask] = 0
         return out
     return (pd.util.hash_array(vals) % num_partitions).astype(np.int64)
-
-
-def crc32_part(doc_ids: pa.Array, num_partitions: int) -> np.ndarray:
-    """crc32-based partition fn: slower (Python loop) but stable across
-    library versions forever; use when a lake must survive pandas upgrades."""
-    out = np.empty(len(doc_ids), dtype=np.int64)
-    for i, v in enumerate(doc_ids.to_pylist()):
-        out[i] = 0 if v is None else zlib.crc32(
-            str(v).encode("utf-8")) % num_partitions
-    return out
 
 
 def modulo_part(doc_ids: pa.Array, num_partitions: int) -> np.ndarray:

@@ -59,7 +59,7 @@ def write_options(schema: pa.Schema) -> dict:
         if pa.types.is_integer(t):
             encodings[path] = "DELTA_BINARY_PACKED"
         elif path == "doc_id":
-            pass  # plain, even where a fragment dictionary-encoded it
+            pass  # plain, even where the WAL dictionary-encoded it
         elif (pa.types.is_dictionary(t) or pa.types.is_string(t)
               or pa.types.is_large_string(t)):
             dict_cols.append(path)

@@ -20,10 +20,10 @@ Scale notes (100 TB): every variant is shuffle-light —
     similarity.py is the unbounded-scale path).
 
 Hashing is deliberately PORTABLE (md5-based word hashes + a uint64
-polynomial fold): byte-stable across library versions forever — the same
-property crc32_part buys the partitioner — and reproducible in DuckDB SQL,
-which is how the driver's oracle verifies the LSH machinery value-for-value
-(see __ray_entry__.oracle_sql). The md5 cost is paid once per UNIQUE word
+polynomial fold): byte-stable across library versions forever, unlike a
+pandas hash, and reproducible in DuckDB SQL, which is how the oracle
+queries of ``__ray_entry__.oracle_sql`` verify the LSH machinery
+value-for-value. The md5 cost is paid once per UNIQUE word
 per batch (Zipf makes uniques << tokens); everything downstream is numpy.
 """
 

@@ -105,18 +105,15 @@ def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
     into at most two tasks per cluster CPU (``util.task_count``); both
     return tiny stats tables, gathered in submission order.
     """
-    import ray
-
     from etl_ray.stages import exchange
-    from etl_ray.util import map_descriptors
+    from etl_ray.util import cluster_cpus, map_descriptors
 
     # wipe any fragments from a crashed attempt of this same commit: the
     # retry regenerates them deterministically
     exchange.cleanup_exchange(lake_dir, commit_id, config.exchange_root)
     exch = exchange.exchange_path(lake_dir, commit_id, config.exchange_root)
-    cpus = int(ray.cluster_resources().get("CPU", 4))
     n_buckets = max(4, min(config.num_partitions * config.max_salt,
-                           cpus * BUCKETS_PER_CPU))
+                           cluster_cpus() * BUCKETS_PER_CPU))
     # fused read: stage-1 tasks decode their own row group in place; no WAL
     # bytes cross the object store (the unfused ReadParquet → map_batches
     # chain round-tripped the whole WAL through plasma: measured 3.6-4.4 s

@@ -19,15 +19,18 @@ lake on the shared filesystem / object store).
     index, where ``row_group`` is the record batch's index in its file, so
     no per-bucket directories and no small-file storm: fragment file count
     == batch count, not batch x bucket (the round-1 layout peaked at ~15k
-    tiny files per commit at sf0.1; this writes ~60). Uncompressed IPC
+    tiny files per commit at sf0.1; this writes ~60). Fragments carry the
+    validated columns as they are (``__shard`` int64): uncompressed IPC
     encodes at memcpy speed and decodes for free, at about twice the bytes
-    of lz4 Parquet; ``_shrink`` narrows what it can before the write.
+    of lz4 Parquet, and re-encoding columns to save bytes cost more time
+    than it saved.
   Stage 2 (per bucket): each bucket memory-maps exactly its record
     batches (zero-copy views, so a task's memory follows its bucket, not
     the commit) and runs the per-shard LWW apply (ApplyShards),
     pre-collapsing accumulated chunks per (__shard, doc_id) whenever they
     exceed ``APPLY_CHUNK_ROWS`` so a backlog bucket never materializes
-    unbounded (max-by-seq is associative).
+    unbounded (max-by-seq is associative). Both collapses run the one LWW
+    kernel of ``stages/merge.py``.
 
 Both stages are plain ``ray.remote`` tasks (``util.map_descriptors``, at
 most two per cluster CPU, each looping over a contiguous slice of
@@ -106,8 +109,10 @@ def exchange_path(lake_dir: str, commit_id: str, root: str = None) -> str:
 
 class FragmentWriter:
     """Stage 1: validate + bucket-sort + one-file-per-batch fragment write.
-    A plain callable class; the Validator (compiled schema, hash fns) is
-    built once, on the driver, and shipped with the instance."""
+    Fragments hold the validated columns as they are; valid fragments drop
+    ``__reason``. A plain callable class; the Validator (compiled schema,
+    hash fns) is built once, by the caller, and shipped with the
+    instance."""
 
     def __init__(self, config: EngineConfig, target_schema, salted_parts,
                  exchange_dir: str, n_buckets: int, min_seq: int = 0):
@@ -115,42 +120,6 @@ class FragmentWriter:
                                    min_seq)
         self.exchange_dir = exchange_dir
         self.n_buckets = n_buckets
-        # columns observed high-cardinality in ANY batch are permanently
-        # excluded (cheap negative cache); the dict decision itself is
-        # re-made per batch — a first batch of bursty same-doc updates
-        # must not lock dictionary encoding in for doc_id forever
-        self._never_dict: set = set()
-
-    def _shrink(self, t: pa.Table) -> pa.Table:
-        """Bytes-per-event reduction before the exchange write: __shard
-        narrows to int32, and low-cardinality string columns (op, source,
-        ...) dictionary-encode — decoded back on the consumer side
-        (ApplyBucket), so nothing downstream changes. doc_id-style
-        high-cardinality columns are left alone."""
-        i = t.schema.get_field_index("__shard")
-        t = t.set_column(i, "__shard", pc.cast(t["__shard"], pa.int32()))
-        for name in t.column_names:
-            if name in self._never_dict:
-                continue
-            f = t.schema.field(name)
-            if not (pa.types.is_string(f.type)
-                    or pa.types.is_large_string(f.type)):
-                continue
-            if pa.types.is_dictionary(f.type):
-                continue
-            nd = pc.count_distinct(t[name]).as_py() or 0
-            if nd > 1024:
-                # globally high-cardinality column (doc_id): never again
-                # spend the count_distinct or risk a locally-bursty batch
-                # dict-encoding it
-                self._never_dict.add(name)
-                continue
-            if nd <= min(1024, max(16, len(t) // 8)):
-                i = t.schema.get_field_index(name)
-                t = t.set_column(
-                    i, name, pc.dictionary_encode(
-                        t[name].combine_chunks()))
-        return t
 
     def _write(self, t: pa.Table, bucket: np.ndarray, rel: str,
                out: dict) -> None:
@@ -159,10 +128,10 @@ class FragmentWriter:
         zero-copy views (compressed buffers were 3x slower end to end).
         Appends one stats row per record batch to ``out``."""
         order = np.argsort(bucket, kind="stable")
-        # one chunk for the WHOLE table, so every slice shares one
-        # dictionary (the IPC file format forbids dictionary replacement)
-        rb = self._shrink(t).take(pa.array(order)).combine_chunks() \
-            .to_batches()[0]
+        # one chunk for the WHOLE table, so every slice shares the
+        # dictionary of a dictionary-encoded WAL column (the IPC file
+        # format forbids dictionary replacement)
+        rb = t.take(pa.array(order)).combine_chunks().to_batches()[0]
         bs = bucket[order]
         bounds = np.flatnonzero(np.diff(bs)) + 1
         starts = np.concatenate([[0], bounds])
@@ -294,11 +263,12 @@ def bucket_descriptors(frag_stats, n_buckets: int) -> List[dict]:
 
 
 class ApplyBucket:
-    """Stage 2: read one bucket's record batches, apply per shard (LWW delta
-    write / quarantine write via ApplyShards). Accumulated chunks are
-    pre-collapsed per (__shard, doc_id) at ``APPLY_CHUNK_ROWS`` so peak
-    memory is bounded by the collapsed state + one chunk, not by the
-    bucket's total backlog."""
+    """Stage 2: read one bucket's record batches as written, apply per
+    shard (LWW delta write / quarantine write via ApplyShards). Accumulated
+    chunks are pre-collapsed per (__shard, doc_id) at ``APPLY_CHUNK_ROWS``
+    so peak memory is bounded by the collapsed state + one chunk, not by
+    the bucket's total backlog; each shard's event count is taken before
+    that collapse and handed to ApplyShards as its ``rows_in``."""
 
     def __init__(self, lake_dir: str, commit_id: str, config: EngineConfig,
                  exchange_dir: str, n_buckets: int):
@@ -309,21 +279,6 @@ class ApplyBucket:
         self.chunk_rows = APPLY_CHUNK_ROWS
         self.n_buckets = n_buckets
 
-    @staticmethod
-    def _undo_shrink(t: pa.Table) -> pa.Table:
-        """Reverse FragmentWriter._shrink: dictionary columns decode back
-        to plain values and __shard widens to int64, so apply/merge logic
-        sees the original schema."""
-        for i, f in enumerate(t.schema):
-            if pa.types.is_dictionary(f.type):
-                t = t.set_column(
-                    i, f.name, pc.cast(t.column(i), f.type.value_type))
-        i = t.schema.get_field_index("__shard")
-        if i >= 0 and t.schema.field(i).type != pa.int64():
-            t = t.set_column(i, "__shard",
-                             pc.cast(t["__shard"], pa.int64()))
-        return t
-
     def _bucket_table(self, row: dict):
         from etl_ray.stages.merge import lww_last_per_keys
 
@@ -331,17 +286,16 @@ class ApplyBucket:
         collapsible = int(row["bucket"]) != self.n_buckets
         acc: List[pa.Table] = []
         acc_rows = 0
-        # TRUE pre-collapse event count per shard: the LWW pre-collapse
-        # below drops duplicate (shard, doc) rows before ApplyShards ever
-        # counts them, so lineage/failure-ratio/salt stats must be taken
-        # from these counts, not from len(group) downstream.
+        # TRUE pre-collapse event count per shard: the pre-collapse below
+        # drops duplicate (shard, doc) rows, and lineage, the failure
+        # ratio and hot-partition salting must count every event
         true_counts: dict = {}
         for f, rg in zip(row["files"], row["rgs"]):
             # the bucket's record batch is a zero-copy view of the mapped
             # file (no decode); it keeps the mapping alive past the close
             with pa.memory_map(os.path.join(self.exchange_dir, f)) as mm:
-                t = self._undo_shrink(pa.Table.from_batches(
-                    [pa.ipc.open_file(mm).get_batch(rg)]))
+                t = pa.Table.from_batches(
+                    [pa.ipc.open_file(mm).get_batch(rg)])
             for vc in pc.value_counts(t["__shard"]).to_pylist():
                 true_counts[vc["values"]] = (
                     true_counts.get(vc["values"], 0) + vc["counts"])
@@ -357,20 +311,8 @@ class ApplyBucket:
     def __call__(self, desc: pa.Table) -> pa.Table:
         from etl_ray.stages.apply import STATS_SCHEMA
 
-        outs = []
-        for row in desc.to_pylist():
-            table, true_counts = self._bucket_table(row)
-            stats = self.inner(table)
-            # restore pre-collapse rows_in per shard (ADVICE r02: the
-            # failure-ratio denominator and hot-partition detection must
-            # see real event counts, not collapsed ones)
-            if len(stats):
-                fixed = [true_counts.get(s, r) for s, r in zip(
-                    stats["shard"].to_pylist(), stats["rows_in"].to_pylist())]
-                stats = stats.set_column(
-                    stats.schema.get_field_index("rows_in"), "rows_in",
-                    pa.array(fixed, type=pa.int64()))
-            outs.append(stats)
+        outs = [self.inner(*self._bucket_table(row))
+                for row in desc.to_pylist()]
         if not outs:
             return STATS_SCHEMA.empty_table()
         return pa.concat_tables(outs)

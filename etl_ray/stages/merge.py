@@ -13,8 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def lww_winner_indices(table: pa.Table, key_cols: list,
-                       seq_col: str = "sequence_number") -> np.ndarray:
+def lww_winner_indices(table: pa.Table, key_cols: list) -> np.ndarray:
     """Row indices of the per-key LWW winners, ordered by key ascending.
 
     The sort runs over the KEY COLUMNS ONLY (``select`` is zero-copy); the
@@ -24,10 +23,9 @@ def lww_winner_indices(table: pa.Table, key_cols: list,
     survivor rate); this shape moves ~0.5× (winners once). The payload here
     is multi-KB token arrays per row, so this is THE memory-bandwidth lever
     of the apply/merge stages (BASELINE.md: stage 2 is DRAM-bound)."""
-    keys = table.select(list(key_cols) + [seq_col])
+    keys = table.select(list(key_cols) + ["sequence_number"])
     order = pc.sort_indices(
-        keys, sort_keys=[(k, "ascending") for k in key_cols]
-        + [(seq_col, "ascending")])
+        keys, sort_keys=[(k, "ascending") for k in keys.column_names])
     n = len(order)
     # row i (in sort order) ends a run iff ANY key changes between i, i+1
     last = np.zeros(n, dtype=bool)
@@ -39,41 +37,17 @@ def lww_winner_indices(table: pa.Table, key_cols: list,
     return order.to_numpy(zero_copy_only=False)[last]
 
 
-def lww_last_per_doc(table: pa.Table, *, id_col: str = "doc_id",
-                     seq_col: str = "sequence_number",
-                     presorted: bool = False) -> pa.Table:
-    """Keep, per doc_id, the row with the largest sequence_number.
+def lww_last_per_keys(table: pa.Table, key_cols: list) -> pa.Table:
+    """Keep, per composite key, the row with the largest sequence_number,
+    in key order (per doc_id: the on-disk order of lake files).
 
-    Key-only sort → single winners ``take`` (see lww_winner_indices); no
-    per-row Python. Output is sorted by doc_id (the on-disk order of
-    delta/base files, enabling streaming sort-merge compaction).
-    ``presorted=True`` skips the sort when the caller already ordered the
-    rows by (doc, seq) — a run-boundary filter is then the only copy.
-    """
+    Merges call it on ``["doc_id"]``; stage 2 pre-collapses accumulated
+    exchange chunks on ``["__shard", "doc_id"]``: max-by-seq is
+    associative, so collapsing partial runs then collapsing the
+    concatenation of the partials equals one global collapse."""
     if len(table) == 0:
         return table
-    if presorted:
-        ids = table[id_col].combine_chunks()
-        n = len(ids)
-        # run-boundary mask: row i is last of its doc iff ids[i] != ids[i+1]
-        neq = pc.not_equal(ids.slice(0, n - 1), ids.slice(1, n - 1))
-        mask = pa.chunked_array([neq.fill_null(True), pa.array([True])])
-        return table.filter(mask)
-    winners = lww_winner_indices(table, [id_col], seq_col)
-    return table.take(pa.array(winners))
-
-
-def lww_last_per_keys(table: pa.Table, key_cols: list,
-                      seq_col: str = "sequence_number") -> pa.Table:
-    """Keep, per composite key, the row with the largest sequence_number.
-
-    Used by the bounded-memory apply path to pre-collapse accumulated
-    exchange chunks per (__shard, doc_id): max-by-seq is associative, so
-    collapsing partial runs then collapsing the concatenation of the
-    partials equals one global collapse."""
-    if len(table) == 0:
-        return table
-    winners = lww_winner_indices(table, list(key_cols), seq_col)
+    winners = lww_winner_indices(table, key_cols)
     return table.take(pa.array(winners))
 
 
@@ -91,7 +65,6 @@ def drop_tombstones(table: pa.Table, *, op_col: str = "op",
 
 
 def merge_runs(tables: list, *, drop_deletes: bool,
-               id_col: str = "doc_id", seq_col: str = "sequence_number",
                target_schema: pa.Schema = None,
                keep_deletes: pa.Array = None) -> pa.Table:
     """Merge base+delta runs for one partition: concat → LWW → (optionally)
@@ -103,7 +76,7 @@ def merge_runs(tables: list, *, drop_deletes: bool,
     if target_schema is not None:
         tables = [conform(t, target_schema) for t in tables]
     merged = pa.concat_tables(tables, promote_options="default")
-    merged = lww_last_per_doc(merged, id_col=id_col, seq_col=seq_col)
+    merged = lww_last_per_keys(merged, ["doc_id"])
     if drop_deletes:
         merged = drop_tombstones(merged, keep=keep_deletes)
     return merged

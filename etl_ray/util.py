@@ -20,13 +20,17 @@ import pyarrow as pa
 TASKS_PER_CPU = 2
 
 
+def cluster_cpus() -> int:
+    """The cluster's CPU count, at least 1 (also where none is reported)."""
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def task_count(n_items: int) -> int:
     """Tasks for ``n_items`` descriptors: ``min(n_items, TASKS_PER_CPU ×
     cluster CPUs)``."""
-    import ray
-
-    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
-    return min(n_items, TASKS_PER_CPU * cpus)
+    return min(n_items, TASKS_PER_CPU * cluster_cpus())
 
 
 def descriptor_dataset(items, num_blocks=None):

@@ -7,7 +7,7 @@ from etl_ray.config import (
     TokensPayload,
     hashed_part,
 )
-from etl_ray.stages.merge import drop_tombstones, lww_last_per_doc, merge_runs
+from etl_ray.stages.merge import drop_tombstones, lww_last_per_keys, merge_runs
 from etl_ray.stages.validate import Validator, split_quarantine
 
 
@@ -24,7 +24,7 @@ def test_lww_keeps_max_seq_per_doc():
             {"doc_id": "a", "sequence_number": 3, "v": 12},
         ]
     )
-    out = lww_last_per_doc(t)
+    out = lww_last_per_keys(t, ["doc_id"])
     assert out.num_rows == 2
     d = {r["doc_id"]: r for r in out.to_pylist()}
     assert d["a"]["sequence_number"] == 5 and d["a"]["v"] == 11
@@ -62,7 +62,7 @@ def test_merge_runs_delete_and_reinsert():
 def test_empty_merge():
     t = pa.table({"doc_id": pa.array([], pa.string()),
                   "sequence_number": pa.array([], pa.int64())})
-    assert lww_last_per_doc(t).num_rows == 0
+    assert lww_last_per_keys(t, ["doc_id"]).num_rows == 0
     assert drop_tombstones(t).num_rows == 0
 
 

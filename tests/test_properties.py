@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etl_ray.schema import conform, promote_schema
-from etl_ray.stages.merge import drop_tombstones, lww_last_per_doc, merge_runs
+from etl_ray.stages.merge import drop_tombstones, lww_last_per_keys, merge_runs
 from etl_ray.state.stats import RowStats
 
 doc_ids = st.text(alphabet="abcd", min_size=1, max_size=3)
@@ -50,7 +50,7 @@ SCHEMA = pa.schema(
 @given(event_lists())
 def test_lww_equals_bruteforce(events):
     t = pa.Table.from_pylist(events, schema=SCHEMA)
-    merged = drop_tombstones(lww_last_per_doc(t))
+    merged = drop_tombstones(lww_last_per_keys(t, ["doc_id"]))
     got = {r["doc_id"]: r for r in merged.to_pylist()}
     exp = brute_force(events)
     assert set(got) == set(exp)
@@ -75,8 +75,8 @@ def test_lww_partition_invariant(events, nruns):
     if not tables:
         return
     got = merge_runs(tables, drop_deletes=True, target_schema=SCHEMA)
-    exp = drop_tombstones(lww_last_per_doc(
-        pa.Table.from_pylist(events, schema=SCHEMA)))
+    exp = drop_tombstones(lww_last_per_keys(
+        pa.Table.from_pylist(events, schema=SCHEMA), ["doc_id"]))
     g = {r["doc_id"]: r["sequence_number"] for r in got.to_pylist()}
     e = {r["doc_id"]: r["sequence_number"] for r in exp.to_pylist()}
     assert g == e

@@ -3,9 +3,8 @@
 1. ptparis last_hop/reached computed BEFORE the ExpectedDestIP marker
    overwrite (multi-path last hop, reference pt.go:884-904).
 2. fuzzyjoin all-empty batch width=0 crash + null text pairing.
-3. exchange _shrink dictionary heuristic no longer locked by first batch.
-4. bucketize_by_quantile unsorted qs.
-5. scamper single-quote escape decoding.
+3. bucketize_by_quantile unsorted qs.
+4. scamper single-quote escape decoding.
 """
 
 import numpy as np
@@ -65,29 +64,6 @@ def test_edit1_pairs_ignores_nulls_and_empties():
     got = edit1_pairs(ds, id_col="id", text_col="name").to_pandas()
     pairs = set(zip(got["id_a"], got["id_b"]))
     assert pairs == {(4, 5)}  # no null/empty pairs at distance 0
-
-
-def test_exchange_shrink_not_locked_by_first_batch():
-    """A first batch of bursty same-doc updates must not dict-encode
-    doc_id for all later (high-cardinality) batches."""
-    from etl_ray.config import EngineConfig
-    from etl_ray.stages.exchange import FragmentWriter
-
-    fw = FragmentWriter.__new__(FragmentWriter)  # bypass Validator setup
-    fw._never_dict = set()
-    burst = pa.table({
-        "__shard": pa.array(np.zeros(4000, np.int64)),
-        "doc_id": pa.array(["doc-1"] * 4000, pa.string()),
-    })
-    s1 = fw._shrink(burst)
-    assert pa.types.is_dictionary(s1.schema.field("doc_id").type)
-    wide = pa.table({
-        "__shard": pa.array(np.zeros(4000, np.int64)),
-        "doc_id": pa.array([f"doc-{i}" for i in range(4000)], pa.string()),
-    })
-    s2 = fw._shrink(wide)
-    assert not pa.types.is_dictionary(s2.schema.field("doc_id").type)
-    assert "doc_id" in fw._never_dict  # and never re-counted
 
 
 @pytest.mark.usefixtures("ray_session")
