@@ -16,6 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from etl_ray.util import cluster_cpus
+
 
 class BroadcastLookup:
     """Stateful map_batches stage: the lookup frame is resolved once per
@@ -63,8 +65,7 @@ def broadcast_join(ds, lookup: pd.DataFrame, *, left_on: str, right_on: str,
         )
     ref = ray.put(lookup)
     if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, cpus - 2)
+        concurrency = max(2, cluster_cpus() - 2)
     return ds.map_batches(
         BroadcastLookup,
         fn_constructor_args=(ref, left_on, right_on, columns),
@@ -156,11 +157,8 @@ def asof_join(left, right, *, by: str, on: str, right_on: str,
     groups map_groups shape measured pathological), then each bucket runs
     one vectorized ``pd.merge_asof``. Partitioning assumption: a bucket's
     rows (both sides) fit one worker — size num_buckets accordingly."""
-    import ray
-
     if num_buckets is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        num_buckets = max(4, cpus)
+        num_buckets = max(4, cluster_cpus())
 
     lschema = _pa_schema(left)
     left_cols = list(lschema.names)
@@ -391,9 +389,7 @@ def hash_join_kw(num_partitions: Optional[int] = None,
     pending until killed). Cap the pool's total reservation at HALF the
     cluster's CPUs, scaling per-actor num_cpus down when the caller pins
     a high partition count on a small cluster."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 0)) or 4
+    cpus = cluster_cpus()
     if num_partitions is None:
         # scales with the cluster (a 1024-CPU cluster gets 64 aggregators,
         # each holding 1/64 of the build side) but still respects the

@@ -3,8 +3,17 @@
 One commit = one atomic application of a contiguous range of unapplied WAL
 segments (the analog of the reference's one-task-per-archive lifecycle,
 /root/reference/task/task.go:90-200, with Gardener-style resume,
-active/poller.go:152-216). Quarantine recovery and the bootstrap of an
-initial base table are commits of the same shape.
+active/poller.go:152-216).
+
+One commit routine, ``_commit``, serves three callers: ``replay_once``
+(the next WAL segments), ``recover_quarantine`` (the quarantine files,
+re-validated) and ``bootstrap`` (an initial base table). It owns the
+partition-count guard, the target schema, the exchange apply, the fold of
+the stats into the manifest (partitions, watermarks, quarantine, lineage,
+histograms), the removal of an aborted commit's files and the manifest
+flip. A caller supplies only its inputs, its stage-1 ``pre_map`` and
+sequence lower bound, whether it salts, whether its quarantine file is
+appended or replaces the quarantine, its gate and its record.
 
 Pipeline (the storage exchange, stages/exchange.py — the engine's only
 hash partitioner; plain Ray tasks dispatched by util.map_descriptors, at
@@ -32,7 +41,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -52,11 +61,12 @@ BUCKETS_PER_CPU = 2
 
 
 class CommitAborted(RuntimeError):
-    """Raised when a commit's quarantine ratio exceeds
-    ``EngineConfig.max_failure_ratio`` — the analog of the reference's
-    TaskError on >10% test failures (/root/reference/etl/etl.go:116-117,
-    parser/ndt7_result.go:40-51). The manifest is NOT flipped, and the
-    files the commit wrote are removed."""
+    """Raised when a commit's gate refuses it: a replay's quarantine ratio
+    exceeds ``EngineConfig.max_failure_ratio`` (the analog of the
+    reference's TaskError on >10% test failures, its etl/etl.go:116-117
+    and parser/ndt7_result.go:40-51), or a bootstrap has an invalid base
+    row. The manifest is NOT flipped, and the files the commit wrote are
+    removed."""
 
     def __init__(self, msg: str, stats=None):
         super().__init__(msg)
@@ -64,28 +74,23 @@ class CommitAborted(RuntimeError):
 
 
 # Control columns every changelog carries, as an Arrow schema fragment.
-_CONTROL_SCHEMA = pa.schema(
-    [
-        pa.field("op", pa.string()),
-        pa.field("doc_id", pa.string()),
-        pa.field("sequence_number", pa.int64()),
-    ]
-)
+_CONTROL_SCHEMA = pa.schema([("op", pa.string()), ("doc_id", pa.string()),
+                             ("sequence_number", pa.int64())])
 
 
 def _target_schema(manifest: Manifest, seg_paths: List[str],
                    config: EngineConfig) -> pa.Schema:
-    schemas = []
-    if manifest.schema is not None:
-        schemas.append(manifest.schema)
-    else:
+    base = manifest.schema
+    if base is None:
         base = _CONTROL_SCHEMA
-        if config.payload.payload_schema is not None:
-            for f in config.payload.payload_schema:
-                base = base.append(f)
-        schemas.append(base)
-    schemas.append(segments_schema(seg_paths))
-    return promote_all(schemas)
+        for f in config.payload.payload_schema or ():
+            base = base.append(f)
+    target = promote_all([base, segments_schema(seg_paths)])
+    # a quarantine file's stored __reason must not enter the target (it
+    # would collide with the Validator's fresh one)
+    if "__reason" in target.names:
+        target = target.remove(target.get_field_index("__reason"))
+    return target
 
 
 def _salted_parts(manifest: Manifest, config: EngineConfig) -> frozenset:
@@ -134,8 +139,8 @@ def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
 
 
 def _remove_files(lake_dir: str, rels: List[str]) -> None:
-    """Remove the data files an aborted or empty commit wrote. They are
-    named by its commit_id, which no file the manifest lists carries."""
+    """Remove the data files an aborted commit wrote. They are named by its
+    commit_id, which no file the manifest lists carries."""
     for rel in rels:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(lake_dir, rel))
@@ -143,11 +148,16 @@ def _remove_files(lake_dir: str, rels: List[str]) -> None:
 
 def _fold_commit_stats(manifest: Manifest, cs: CommitStats,
                        stats_tbl: pa.Table, target: pa.Schema, t0: float,
-                       *, recovery: bool = False) -> dict:
+                       *, record: Callable[[CommitStats], dict]
+                       = CommitStats.to_json,
+                       replace_quarantine: bool = False) -> dict:
     """Fold the apply stage's per-shard stats into ``cs`` and stage the next
-    manifest version in memory; return the commit record the caller
-    commits it with. A replay commit appends its quarantine file; a
-    recovery commit REPLACES the quarantine with what is still invalid."""
+    manifest version in memory; return the commit record, ``record(cs)``.
+
+    The lineage counters add up the records' counts (a bootstrap record
+    has no event counts). A ``replace_quarantine`` commit (recovery)
+    re-read the quarantine, whose events an earlier commit counted in, so
+    it only moves the recovered ones from ``quarantined`` to ``valid``."""
     from etl_ray.state.stats import DURATION_BUCKETS, ROWS_BUCKETS, Histogram
 
     quarantine: List[str] = []
@@ -182,31 +192,62 @@ def _fold_commit_stats(manifest: Manifest, cs: CommitStats,
 
     manifest.version += 1
     manifest.set_schema(target)
+    rec = record(cs)
     lin = manifest.lineage
-    if recovery:
+    for key in ("events_in", "valid", "quarantined", "rows_written",
+                "deletes"):
+        lin[key] += rec.get(key, 0)
+    if replace_quarantine:
         manifest.quarantine_files = quarantine
-        lin["quarantined"] = cs.quarantined
+        lin["events_in"] -= cs.events_in
+        lin["quarantined"] -= cs.events_in
     else:
         manifest.quarantine_files.extend(quarantine)
-        lin["quarantined"] += cs.quarantined
-    lin["events_in"] += cs.events_in
-    lin["valid"] += cs.valid
-    lin["rows_written"] += cs.rows_written
-    lin["deletes"] += cs.deletes
-    rec = cs.to_json()
-    if recovery:
-        rec["recovery"] = True
     return rec
 
 
-def replay_once(
-    wal_dir: str,
-    lake_dir: str,
-    config: EngineConfig,
-    *,
-    max_segments: Optional[int] = None,
-    commit: bool = True,
-) -> Optional[CommitStats]:
+def _commit(manifest: Manifest, config: EngineConfig, paths: List[str], *,
+            gate: Callable[[CommitStats], Optional[str]],
+            record: Callable[[CommitStats], dict] = CommitStats.to_json,
+            segments: Sequence[int] = (), pre_map=None, min_seq: int = 0,
+            salt: bool = True, replace_quarantine: bool = False,
+            flip: bool = True) -> Optional[CommitStats]:
+    """Apply ``paths`` on top of ``manifest`` as one commit: exchange,
+    fold, gate, manifest flip (skipped when not ``flip``). An empty v0
+    lake adopts the config's partition count; any other mismatch raises
+    ``ValueError`` before anything is written. No ``paths``: returns None.
+    ``gate`` returns None to commit, or a message to abort: the commit's
+    files are removed and ``CommitAborted`` carries the message."""
+    t0 = time.monotonic()
+    if manifest.version == 0 and not manifest.partitions:
+        manifest.num_partitions = config.num_partitions
+    elif manifest.num_partitions != config.num_partitions:
+        raise ValueError(
+            f"lake has {manifest.num_partitions} partitions; config says "
+            f"{config.num_partitions} — partition count is fixed at creation")
+    if not paths:
+        return None
+    target = _target_schema(manifest, paths, config)
+    cs = CommitStats(commit_id=manifest.commit_id, segments=list(segments))
+    stats_tbl = _storage_exchange_apply(
+        paths, manifest.lake_dir, cs.commit_id, config, target,
+        _salted_parts(manifest, config) if salt else frozenset(),
+        pre_map=pre_map, min_seq=min_seq)
+    rec = _fold_commit_stats(manifest, cs, stats_tbl, target, t0,
+                             record=record,
+                             replace_quarantine=replace_quarantine)
+    reason = gate(cs)
+    if reason is not None:
+        _remove_files(manifest.lake_dir, stats_tbl["file"].to_pylist())
+        raise CommitAborted(reason, stats=cs)
+    if flip:
+        manifest.commit(rec)
+    return cs
+
+
+def replay_once(wal_dir: str, lake_dir: str, config: EngineConfig, *,
+                max_segments: Optional[int] = None,
+                commit: bool = True) -> Optional[CommitStats]:
     """Apply the next batch of unapplied segments as one commit.
 
     Returns None when there is nothing to apply. ``commit=False`` performs
@@ -214,78 +255,50 @@ def replay_once(
     to simulate a failure between apply and commit (the rerun must produce
     byte-identical files and the same manifest).
     """
-    t0 = time.monotonic()
     manifest = Manifest.load(lake_dir)
-    if manifest.version == 0 and not manifest.partitions:
-        manifest.num_partitions = config.num_partitions
-    elif manifest.num_partitions != config.num_partitions:
-        raise ValueError(
-            f"lake has {manifest.num_partitions} partitions; config says "
-            f"{config.num_partitions} — partition count is fixed at creation"
-        )
-    segs = list_segments(
-        wal_dir,
-        after=manifest.applied_through_segment,
-        skip_count=config.skip_count,
-        limit=max_segments or None,
-    )
-    if not segs:
-        return None
+    segs = list_segments(wal_dir, after=manifest.applied_through_segment,
+                         skip_count=config.skip_count,
+                         limit=max_segments or None)
     if config.max_bytes_per_commit is not None and len(segs) > 1:
         # bound a commit by input bytes (driver-side stat of the tiny
         # work-list): a catch-up backlog becomes several bounded commits,
         # so bucket size stays ~ cap / n_buckets instead of the backlog
         total, cut = 0, len(segs)
         for i, s in enumerate(segs):
-            total += s.size if s.size >= 0 else os.path.getsize(s.path)
+            total += s.size
             if total > config.max_bytes_per_commit and i > 0:
                 cut = i
                 break
         segs = segs[:cut]
-    seg_paths = [s.path for s in segs]
-    target = _target_schema(manifest, seg_paths, config)
-    commit_id = manifest.commit_id
-    stats_tbl = _storage_exchange_apply(
-        seg_paths, lake_dir, commit_id, config, target,
-        _salted_parts(manifest, config))
+    if segs:
+        # published only if the commit flips the manifest
+        manifest.applied_through_segment = segs[-1].number
 
-    cs = CommitStats(commit_id=commit_id, segments=[s.number for s in segs])
-    rec = _fold_commit_stats(manifest, cs, stats_tbl, target, t0)
-    if (
-        config.max_failure_ratio is not None
-        and cs.events_in > 0
-        and cs.quarantined / cs.events_in > config.max_failure_ratio
-    ):
+    def gate(cs: CommitStats) -> Optional[str]:
         # the reference's TaskError gate (>10% of tests failing fails the
-        # task, /root/reference/etl/etl.go:116-117): leave the manifest
-        # UNFLIPPED and remove this commit's files, so the bad batch is
-        # retried/inspected, never silently committed
-        _remove_files(lake_dir, stats_tbl["file"].to_pylist())
-        raise CommitAborted(
-            f"commit {commit_id}: {cs.quarantined}/{cs.events_in} events "
-            f"quarantined (> max_failure_ratio={config.max_failure_ratio})",
-            stats=cs,
-        )
-    manifest.applied_through_segment = segs[-1].number
-    if commit:
-        manifest.commit(rec)
-    return cs
+        # task, its etl/etl.go:116-117): the bad batch is retried or
+        # inspected, never silently committed
+        ratio = config.max_failure_ratio
+        if ratio is not None and cs.events_in \
+                and cs.quarantined / cs.events_in > ratio:
+            return (f"commit {cs.commit_id}: {cs.quarantined}/"
+                    f"{cs.events_in} events quarantined "
+                    f"(> max_failure_ratio={ratio})")
+        return None
+
+    return _commit(manifest, config, [s.path for s in segs], gate=gate,
+                   segments=[s.number for s in segs], flip=commit)
 
 
-# columns a quarantine file may persist that are not event fields: the
-# Validator re-derives them
-_QUARANTINE_META = ("__reason", "__shard")
+def _strip_reason(t: pa.Table) -> pa.Table:
+    """Recovery ``pre_map``: drop the ``__reason`` a quarantine file stores
+    (the Validator derives a fresh one)."""
+    return t.drop_columns(["__reason"]) if "__reason" in t.column_names \
+        else t
 
 
-def _strip_quarantine_meta(t: pa.Table) -> pa.Table:
-    drop = [c for c in _QUARANTINE_META if c in t.column_names]
-    return t.drop_columns(drop) if drop else t
-
-
-def recover_quarantine(
-    lake_dir: str,
-    config: EngineConfig,
-) -> Optional[CommitStats]:
+def recover_quarantine(lake_dir: str,
+                       config: EngineConfig) -> Optional[CommitStats]:
     """Dead-letter replay: re-validate the quarantine under the CURRENT
     config and apply newly-valid events as a normal exactly-once commit.
 
@@ -297,36 +310,23 @@ def recover_quarantine(
     stay referenced by the older manifest versions, for time travel); recovered
     events participate in LWW with their original sequence numbers, so a
     recovered event that was the latest write wins exactly as if it had
-    never been quarantined. ``applied_through_segment`` is untouched.
-    Returns None (and leaves the manifest unflipped) when nothing
-    becomes valid."""
-    t0 = time.monotonic()
+    never been quarantined. ``applied_through_segment`` and the lineage's
+    ``events_in`` are untouched; recovered events move from
+    ``quarantined`` to ``valid``. Returns None (and leaves the manifest
+    unflipped) when nothing becomes valid."""
     manifest = Manifest.load(lake_dir)
-    if not manifest.quarantine_files:
+    try:
+        return _commit(
+            manifest, config,
+            [os.path.join(lake_dir, f) for f in manifest.quarantine_files],
+            gate=lambda cs: None if cs.valid else "nothing recovered",
+            record=lambda cs: {**cs.to_json(), "recovery": True},
+            pre_map=_strip_reason, replace_quarantine=True)
+    except CommitAborted:
+        # nothing recovered: the rewritten (identical) quarantine file is
+        # removed and the manifest left untouched — recovery is a no-op
+        # and idempotent under repeated calls
         return None
-    paths = [os.path.join(lake_dir, f) for f in manifest.quarantine_files]
-    target = _target_schema(manifest, paths, config)
-    # a stored __reason must not survive into the target schema (it would
-    # collide with the fresh one)
-    for c in _QUARANTINE_META:
-        if c in target.names:
-            target = target.remove(target.get_field_index(c))
-    commit_id = manifest.commit_id
-    stats_tbl = _storage_exchange_apply(
-        paths, lake_dir, commit_id, config, target,
-        _salted_parts(manifest, config), pre_map=_strip_quarantine_meta)
-
-    cs = CommitStats(commit_id=commit_id, segments=[])
-    rec = _fold_commit_stats(manifest, cs, stats_tbl, target, t0,
-                             recovery=True)
-    if cs.valid == 0:
-        # nothing recovered: remove the rewritten (identical) quarantine
-        # file and leave the manifest untouched — recovery is a no-op and
-        # idempotent under repeated calls
-        _remove_files(lake_dir, stats_tbl["file"].to_pylist())
-        return None
-    manifest.commit(rec)
-    return cs
 
 
 def _as_base_rows(t: pa.Table) -> pa.Table:
@@ -342,8 +342,8 @@ def _as_base_rows(t: pa.Table) -> pa.Table:
 
 def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
     """Load an initial base table (FIXTURES.md F1, one Parquet file) into an
-    empty lake as version 1, through the same storage exchange as a replay
-    commit.
+    empty lake as version 1, through the same commit routine as a replay
+    commit (unsalted).
 
     - Base rows become inserts with ``sequence_number`` -1 where the base
       lacks those columns, so any changelog event wins LWW against them;
@@ -364,45 +364,35 @@ def bootstrap(base_path: str, lake_dir: str, config: EngineConfig) -> Manifest:
     manifest = Manifest.load(lake_dir)
     if manifest.version != 0:
         raise ValueError("bootstrap requires an empty lake")
-    manifest.num_partitions = config.num_partitions
-    target = _target_schema(manifest, [base_path], config)
-    stats = _storage_exchange_apply(
-        [base_path], lake_dir, manifest.commit_id, config, target,
-        frozenset(), pre_map=_as_base_rows, min_seq=-1).to_pylist()
-    bad = [r for r in stats if r["shard"] == QUARANTINE_SHARD]
-    if bad:
-        reasons = read_file(os.path.join(lake_dir, bad[0]["file"]),
+
+    def gate(cs: CommitStats) -> Optional[str]:
+        if not cs.quarantined:
+            return None
+        # the lake was empty: the staged quarantine is this commit's
+        reasons = read_file(os.path.join(lake_dir,
+                                         manifest.quarantine_files[0]),
                             ["__reason"])["__reason"]
-        _remove_files(lake_dir, [r["file"] for r in stats])
-        raise CommitAborted(
-            f"bootstrap: {sum(r['rows_in'] for r in bad)} invalid base rows "
-            f"({', '.join(pc.unique(reasons).to_pylist())})")
-    manifest.version = 1
-    manifest.set_schema(target)
-    for r in stats:
-        manifest.partition(r["part"]).files.append(r["file"])
-    rows = sum(r["rows_out"] for r in stats)
-    manifest.lineage["rows_written"] += rows
-    manifest.commit({"commit_id": "bootstrap", "rows_written": rows})
+        return (f"bootstrap: {cs.quarantined} invalid base rows "
+                f"({', '.join(pc.unique(reasons).to_pylist())})")
+
+    _commit(manifest, config, [base_path], gate=gate,
+            record=lambda cs: {"commit_id": "bootstrap",
+                               "rows_written": cs.rows_written},
+            pre_map=_as_base_rows, min_seq=-1, salt=False)
     return manifest
 
 
-def replay(
-    wal_dir: str,
-    lake_dir: str,
-    config: Optional[EngineConfig] = None,
-    *,
-    segments_per_commit: Optional[int] = None,
-    max_commits: Optional[int] = None,
-) -> List[CommitStats]:
+def replay(wal_dir: str, lake_dir: str,
+           config: Optional[EngineConfig] = None, *,
+           segments_per_commit: Optional[int] = None,
+           max_commits: Optional[int] = None) -> List[CommitStats]:
     """Replay all unapplied WAL segments, one or more commits, until caught
     up. Resumable: a rerun after any crash continues from the manifest."""
     config = config or EngineConfig()
     out = []
     while max_commits is None or len(out) < max_commits:
-        cs = replay_once(
-            wal_dir, lake_dir, config, max_segments=segments_per_commit
-        )
+        cs = replay_once(wal_dir, lake_dir, config,
+                         max_segments=segments_per_commit)
         if cs is None:
             break
         out.append(cs)

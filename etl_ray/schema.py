@@ -36,6 +36,11 @@ def _widen(a: pa.DataType, b: pa.DataType) -> pa.DataType:
         return a
     if pa.types.is_list(a) and pa.types.is_list(b):
         return pa.list_(_widen(a.value_type, b.value_type))
+    # dictionary<T> promotes to T (conform decodes it)
+    if pa.types.is_dictionary(a):
+        return _widen(a.value_type, b)
+    if pa.types.is_dictionary(b):
+        return _widen(a, b.value_type)
     raise TypeError(f"incompatible schema evolution: {a} vs {b}")
 
 

@@ -22,8 +22,10 @@ def lww_winner_indices(table: pa.Table, key_cols: list) -> np.ndarray:
     twice (full-table take + survivor copy, ~2.5× table bytes for a ~50%
     survivor rate); this shape moves ~0.5× (winners once). The payload here
     is multi-KB token arrays per row, so this is THE memory-bandwidth lever
-    of the apply/merge stages (BASELINE.md: stage 2 is DRAM-bound)."""
-    keys = table.select(list(key_cols) + ["sequence_number"])
+    of the apply/merge stages (BASELINE.md: stage 2 is DRAM-bound). The
+    key columns are combined into one chunk first: a chunked sort merges
+    per-chunk runs (25k rows in 13 chunks, 1 CPU: 9.6 → 7.1 ms)."""
+    keys = table.select(list(key_cols) + ["sequence_number"]).combine_chunks()
     order = pc.sort_indices(
         keys, sort_keys=[(k, "ascending") for k in keys.column_names])
     n = len(order)

@@ -5,7 +5,9 @@ with the invariant Accepted == Failed + Committed + Buffered
 (/root/reference/row/row.go:45-104, etl/etl.go:23-35). Here the engine's
 batching is Ray Data's job, so "buffered" only exists transiently inside a
 commit; the durable invariant recorded in the manifest lineage is
-events_in == valid + quarantined and valid == rows_written(+dedup_collapsed).
+events_in == valid + quarantined after every kind of commit: a recovery
+moves events from quarantined to valid, and a bootstrap (base rows are not
+events) adds only rows_written.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """The storage exchange's edges: the footer fan-out of
 ``rowgroup_descriptors`` past its in-process threshold, and WAL columns
-that arrive dictionary-encoded (fragments carry them as validated, and the
-lake reads back the same rows as from a plain-string WAL)."""
+that arrive dictionary-encoded (fragments carry them as validated, a
+payload that declares the column ``string`` decodes them, and the lake
+reads back the same rows as from a plain-string WAL)."""
 
 import dataclasses
 import os
@@ -88,8 +89,13 @@ def test_dictionary_wal_column_replays_like_plain(tmp_path):
     for name, wal in (("plain", plain_wal), ("dict", dict_wal)):
         lakes[name] = str(tmp_path / f"lake-{name}")
         replay(wal, lakes[name], cfg)
+    # and under the full tokens payload, whose ``source: string`` the
+    # dictionary column is promoted to
+    lakes["full"] = str(tmp_path / "lake-full")
+    replay(dict_wal, lakes["full"], dataclasses.replace(
+        cfg, payload=TokensPayload(vocab_size=VOCAB)))
     got = _rows(lakes["dict"])
-    assert got == _rows(lakes["plain"])
+    assert got == _rows(lakes["plain"]) == _rows(lakes["full"])
 
     exp = oracle_replay(paths, vocab=VOCAB).to_pylist()
     assert [r["doc_id"] for r in got] == sorted(r["doc_id"] for r in exp)

@@ -58,28 +58,50 @@ def state(lake, version=None):
 
 
 # ---------------------------------------------------------------- flat size
-def _synthetic_stats(commit_id: str, parts: int) -> pa.Table:
-    rows = [{"shard": k, "part": k, "salt": 0, "rows_in": 125 + k,
-             "rows_out": 120, "deletes": 5, "max_seq": 10_000 + k,
-             "file": f"part={k}/delta-{commit_id}-p{k}-s0.parquet",
-             "wall_sec": 0.0123 * (k + 1)} for k in range(parts)]
-    return pa.Table.from_pylist(rows, schema=STATS_SCHEMA)
+def _synthetic_stats(commit_id: str, rows_in: list,
+                     quarantined: int) -> pa.Table:
+    """Stats of one commit: ``rows_in[k]`` events into partition k, and
+    ``quarantined`` events into one quarantine file."""
+    out = [{"shard": k, "part": k, "salt": 0, "rows_in": r, "rows_out": r,
+            "deletes": r // 25, "max_seq": 10_000 + k,
+            "file": f"part={k}/delta-{commit_id}-p{k}-s0.parquet",
+            "wall_sec": 0.0123 * (k + 1)} for k, r in enumerate(rows_in)]
+    out.append({"shard": -1, "part": -1, "salt": 0, "rows_in": quarantined,
+                "rows_out": quarantined, "deletes": 0, "max_seq": -1,
+                "file": f"_quarantine/q-{commit_id}.parquet",
+                "wall_sec": 0.001})
+    return pa.Table.from_pylist(out, schema=STATS_SCHEMA)
 
 
 def test_version_size_is_flat_in_history(tmp_lake):
     """10 and 2,000 commits folded through the real fold and commit code
-    leave a final ``v<N>.json`` of the same size (within 5 %)."""
+    leave a final ``v<N>.json`` of the same size (within 5 %). Odd commits
+    are replays that quarantine 6 events; even ones are recoveries that
+    re-read the quarantine, recover 4 events and replace the quarantine
+    with the rest. The lineage keeps ``events_in == valid + quarantined``
+    after every commit."""
     target = pa.schema([("op", pa.string()), ("doc_id", pa.string()),
                         ("sequence_number", pa.int64()),
                         ("tokens", pa.list_(pa.int32()))])
     m = Manifest(lake_dir=tmp_lake, num_partitions=8)
+    replayed = [125 + k for k in range(8)]
     sizes = {}
     for n in range(1, 2001):
-        cs = CommitStats(commit_id=m.commit_id, segments=[n - 1])
-        rec = _fold_commit_stats(m, cs, _synthetic_stats(m.commit_id, 8),
-                                 target, time.monotonic())
-        m.applied_through_segment = n - 1
+        recovery = n % 2 == 0
+        cs = CommitStats(commit_id=m.commit_id,
+                         segments=[] if recovery else [n - 1])
+        if recovery:
+            stats = _synthetic_stats(m.commit_id, [1] * 4,
+                                     m.lineage["quarantined"] - 4)
+        else:
+            stats = _synthetic_stats(m.commit_id, replayed, 6)
+            m.applied_through_segment = n - 1
+        rec = _fold_commit_stats(m, cs, stats, target, time.monotonic(),
+                                 replace_quarantine=recovery)
         m.commit(rec)
+        lin = m.lineage
+        assert lin["events_in"] == lin["valid"] + lin["quarantined"], n
+        assert len(m.quarantine_files) == (1 if recovery else 2 - (n == 1))
         # a compaction's effect on the snapshot: one live file per partition
         for k, p in m.partitions.items():
             p.files = [f"part={k}/base-g{m.version}.parquet"]
@@ -89,8 +111,9 @@ def test_version_size_is_flat_in_history(tmp_lake):
     assert abs(sizes[2000] - sizes[10]) <= 0.05 * sizes[10], sizes
     loaded = Manifest.load(tmp_lake)
     assert loaded.lineage["commits_total"] == 2000
-    assert loaded.lineage["events_in"] == 2000 * sum(125 + k for k in range(8))
-    assert loaded.histograms["shard_rows"]["count"] == 2000 * 8
+    assert loaded.lineage["events_in"] == 1000 * (sum(replayed) + 6)
+    assert loaded.lineage["quarantined"] == 1000 * 2
+    assert loaded.histograms["shard_rows"]["count"] == 1000 * (9 + 5)
     assert loaded.record["commit_id"] == "c002000"
     hist = Manifest.history(tmp_lake, last=3)
     assert [r["commit_id"] for r in hist] == ["c001998", "c001999",

@@ -211,3 +211,84 @@ def test_compaction_keeps_delete_a_quarantined_event_loses_to(
     assert [p for p in m.partitions.values() if p.base_gen == m.version
             and "op" not in _columns(lake, p.files[0])]
     assert live(lake) == sorted(exp["doc_id"].to_pylist())
+
+
+def _assert_lineage_invariant(lake):
+    lin = Manifest.load(lake).lineage
+    assert lin["events_in"] == lin["valid"] + lin["quarantined"], lin
+    return lin
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_lineage_invariant_after_every_commit_kind(tmp_path):
+    """``events_in == valid + quarantined`` after a replay, a partial and a
+    full recovery, and a bootstrap followed by a replay. Recovery moves
+    events from quarantined to valid and leaves ``events_in`` alone."""
+    import pyarrow.parquet as pq
+
+    from etl_ray.config import TokensPayload
+    from etl_ray.pipelines.replay import bootstrap
+    from etl_ray.sources.generator import generate_base
+
+    wal, lake = str(tmp_path / "wal"), str(tmp_path / "lake")
+    n_events = sum(pq.read_metadata(p).num_rows
+                   for p in A.events_to_changelog(SF_DIR, wal))
+    replay(wal, lake, _cfg(100.0))
+    lin0 = _assert_lineage_invariant(lake)
+    assert lin0["events_in"] == n_events and lin0["quarantined"] > 0
+    partial = recover_quarantine(lake, _cfg(200.0))
+    assert 0 < partial.quarantined < partial.events_in
+    lin1 = _assert_lineage_invariant(lake)
+    assert lin1["events_in"] == n_events
+    assert lin1["quarantined"] == partial.quarantined
+    assert lin1["valid"] == lin0["valid"] + partial.valid
+    assert recover_quarantine(lake, _cfg(None)).quarantined == 0
+    lin2 = _assert_lineage_invariant(lake)
+    assert (lin2["events_in"], lin2["valid"], lin2["quarantined"]) \
+        == (n_events, n_events, 0)
+
+    base, wal2, lake2 = (str(tmp_path / "base.parquet"),
+                         str(tmp_path / "w2"), str(tmp_path / "l2"))
+    generate_base(base, n_docs=100, seed=5, vocab=100)
+    c = EngineConfig(num_partitions=4, payload=TokensPayload(vocab_size=100))
+    bootstrap(base, lake2, c)
+    lin = _assert_lineage_invariant(lake2)
+    assert (lin["events_in"], lin["valid"], lin["quarantined"]) == (0, 0, 0)
+    assert lin["rows_written"] == 100
+    generate_changelog(wal2, n_events=400, n_segments=2, n_base_docs=100,
+                       seed=6, vocab=100, corrupt_frac=0.05)
+    replay(wal2, lake2, c)
+    lin = _assert_lineage_invariant(lake2)
+    assert lin["events_in"] == 400 and lin["quarantined"] > 0
+
+
+def _lake_files(lake):
+    import hashlib
+
+    out = {}
+    for d, _, fs in os.walk(lake):
+        for f in fs:
+            p = os.path.join(d, f)
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, lake)] = hashlib.sha256(
+                    fh.read()).hexdigest()
+    return out
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_recover_refuses_a_different_partition_count(tmp_path):
+    """The partition count is fixed when the lake is created: recovery
+    under another count raises ``ValueError`` and writes nothing."""
+    wal, lake = str(tmp_path / "wal"), str(tmp_path / "lake")
+    A.events_to_changelog(SF_DIR, wal)
+    replay(wal, lake, _cfg(300.0))
+    m0, files0 = Manifest.load(lake), _lake_files(lake)
+    assert m0.quarantine_files
+    other = EngineConfig(num_partitions=4,
+                         payload=A.events_payload(600.0))
+    with pytest.raises(ValueError, match="partition count is fixed"):
+        recover_quarantine(lake, other)
+    m1 = Manifest.load(lake)
+    assert m1.version == m0.version
+    assert m1.quarantine_files == m0.quarantine_files
+    assert _lake_files(lake) == files0

@@ -30,6 +30,18 @@ def test_promote_widen_list_value():
     assert promote_schema(a, b).field("t").type == pa.list_(pa.int64())
 
 
+def test_promote_dictionary_to_its_value_type():
+    """``dictionary<string>`` vs ``string``, in either order, promotes to
+    ``string``; conform decodes the dictionary column."""
+    d = pa.schema([("s", pa.dictionary(pa.int32(), pa.string()))])
+    s = pa.schema([("s", pa.string())])
+    assert promote_schema(d, s).field("s").type == pa.string()
+    assert promote_schema(s, d).field("s").type == pa.string()
+    assert promote_schema(d, d).equals(d)
+    t = pa.table({"s": pa.array(["a", None, "a"]).dictionary_encode()})
+    assert conform(t, s)["s"].to_pylist() == ["a", None, "a"]
+
+
 def test_promote_incompatible_raises():
     a = pa.schema([("n", pa.int32())])
     b = pa.schema([("n", pa.string())])
