@@ -10,10 +10,11 @@ table ``(doc_id, tokens: list<int32>, n_tok: int32, source: string)``
 Config-as-data mirrors the reference's registries (buffer sizes, skip counts,
 datatype tables — /root/reference/etl/globals.go:270-330).
 
-Memory bounds that no deployment sets are module constants, not
-``EngineConfig`` fields: rows per compaction range
-(``pipelines.compaction.ROWS_PER_RANGE``) and the stage-2 pre-collapse
-bound (``stages.exchange.APPLY_CHUNK_ROWS``).
+Stage 2 of a commit holds one exchange bucket per task, so its memory
+bound is ``EngineConfig.max_bytes_per_commit`` (a bucket is about that cap
+over the bucket count). The compaction bound that no deployment sets is a
+module constant, not an ``EngineConfig`` field: rows per compaction range
+(``pipelines.compaction.ROWS_PER_RANGE``).
 """
 
 from __future__ import annotations

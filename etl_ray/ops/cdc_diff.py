@@ -12,9 +12,11 @@ the diff is embarrassingly parallel — one call merges partition p at
 v_from AND at v_to and compares (at most two tasks per cluster CPU, each
 diffing a contiguous slice of partitions); NO shuffle, no cross-partition
 traffic.
-Unchanged docs are detected by sequence_number equality (sequence numbers
-are unique per event, so any change to a doc changes its winning seq) and
-never leave the task.
+A partition whose file list is the same at both versions holds no change
+and is never read, so a diff costs O(changed partitions), not O(table).
+Within a changed partition, unchanged docs are detected by
+sequence_number equality (sequence numbers are unique per event, so any
+change to a doc changes its winning seq) and never leave the task.
 """
 
 from __future__ import annotations
@@ -41,8 +43,12 @@ class DiffPartition:
         from etl_ray.schema import schema_from_hex
 
         self.lake_dir = lake_dir
-        self.schema_from = schema_from_hex(schema_hex_from)
-        self.schema_to = schema_from_hex(schema_hex_to)
+        # a version-0 manifest has no schema and no files: its side reads
+        # empty under the other side's schema
+        sf, st = (schema_from_hex(h) if h else None
+                  for h in (schema_hex_from, schema_hex_to))
+        self.schema_from = sf or st or pa.schema([])
+        self.schema_to = st or sf or pa.schema([])
         self.include_old = [
             c for c in include_old
             if c in {f.name for f in self.schema_from}
@@ -67,19 +73,18 @@ class DiffPartition:
             if pa.types.is_integer(t):
                 t = pa.float64()
             fields.append((f"old_{c}", t))
-        self.out_fields = fields
+        self.out_schema = pa.schema(fields)
 
     def _to_arrow(self, out: pd.DataFrame) -> pa.Table:
         arrays = []
-        for name, typ in self.out_fields:
-            col = out[name]
+        for f in self.out_schema:
+            col = out[f.name]
             vals = col.to_numpy(dtype=object, copy=True)
             mask = col.isna().to_numpy()
             if mask.any():
                 vals[mask] = None
-            arrays.append(pa.array(vals, type=typ, from_pandas=True))
-        return pa.Table.from_arrays(
-            arrays, names=[n for n, _ in self.out_fields])
+            arrays.append(pa.array(vals, type=f.type, from_pandas=True))
+        return pa.Table.from_arrays(arrays, schema=self.out_schema)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         outs = []
@@ -122,8 +127,7 @@ class DiffPartition:
                 out = pd.concat([out, dels], ignore_index=True)
             outs.append(self._to_arrow(out))
         if not outs:
-            return pa.schema(
-                [pa.field(n, t) for n, t in self.out_fields]).empty_table()
+            return self.out_schema.empty_table()
         return pa.concat_tables(outs)
 
 
@@ -132,32 +136,30 @@ def lake_diff(lake_dir: str, *, from_version: int,
     """Change-event stream between two committed versions of a lake, as a
     ``ray.data.Dataset`` with columns (doc_id, change_op, sequence_number,
     <payload...>). ``sequence_number`` is the winning seq at ``to_version``
-    (null for deletes). One call per partition, at most two tasks per
-    cluster CPU, no shuffle."""
+    (null for deletes), plus ``old_<col>`` for each ``include_old`` column.
+    One call per partition whose file list differs between the versions,
+    at most two tasks per cluster CPU, no shuffle."""
     import ray.data as rd
 
     from etl_ray.util import descriptor_dataset, task_count
 
     m_from = Manifest.load(lake_dir, version=from_version)
     m_to = Manifest.load(lake_dir, version=to_version)
-    if m_from.num_partitions != m_to.num_partitions:
+    # an empty version-0 lake holds no partition yet; its first commit
+    # sets the count
+    if (m_from.partitions and m_to.partitions
+            and m_from.num_partitions != m_to.num_partitions):
         raise ValueError("partition count changed between versions")
     descs = []
     parts = sorted(set(m_from.partitions) | set(m_to.partitions))
     for k in parts:
         fa = list(m_from.partitions[k].files) if k in m_from.partitions else []
         fb = list(m_to.partitions[k].files) if k in m_to.partitions else []
-        if fa or fb:
+        if fa != fb:
             descs.append({"part": k, "files_from": fa, "files_to": fb})
+    diff = DiffPartition(lake_dir, m_from.schema_hex, m_to.schema_hex,
+                         include_old=include_old)
     if not descs:
-        return rd.from_arrow(pa.table({
-            "doc_id": pa.array([], pa.string()),
-            "change_op": pa.array([], pa.string()),
-            "sequence_number": pa.array([], pa.float64()),
-        }))
+        return rd.from_arrow(diff.out_schema.empty_table())
     return descriptor_dataset(descs, task_count(len(descs))).map_batches(
-        DiffPartition(lake_dir, m_from.schema_hex, m_to.schema_hex,
-                      include_old=include_old),
-        batch_format="pyarrow",
-        batch_size=1,
-    )
+        diff, batch_format="pyarrow", batch_size=1)

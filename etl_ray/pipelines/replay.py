@@ -132,7 +132,7 @@ def _storage_exchange_apply(seg_paths, lake_dir, commit_id, config, target,
     if not items:
         return STATS_SCHEMA.empty_table()
     stats_tbl = map_descriptors(
-        exchange.ApplyBucket(lake_dir, commit_id, config, exch, n_buckets),
+        exchange.ApplyBucket(lake_dir, commit_id, config, exch),
         items)
     exchange.cleanup_exchange(lake_dir, commit_id, config.exchange_root)
     return stats_tbl

@@ -1,4 +1,4 @@
-"""Row sinks: atomic JSONL writer + row-stats invariant.
+"""Row sinks: atomic JSONL writer.
 
 The analog of the reference's ``row.Sink`` / RowWriter / LocalWriter
 (/root/reference/row/row.go:111-117, storage/rowwriter.go:23-171,
@@ -20,7 +20,6 @@ import json
 import os
 from typing import Iterable, Optional
 
-from etl_ray.state.stats import RowStats
 from etl_ray.util import publish, write_atomic
 
 
@@ -37,7 +36,7 @@ class JsonlRowSink:
         self.tmp = path + ".tmp"
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self._fh = open(self.tmp, "w")
-        self.stats = RowStats()
+        self.committed = 0
         self._closed = False
 
     def commit(self, rows: Iterable[dict], label: str = "") -> int:
@@ -46,8 +45,7 @@ class JsonlRowSink:
             self._fh.write(json.dumps(row, sort_keys=True, default=str))
             self._fh.write("\n")
             n += 1
-        self.stats.accept(n)
-        self.stats.commit(n)
+        self.committed += n
         return n
 
     def abandon(self) -> None:
@@ -63,14 +61,13 @@ class JsonlRowSink:
     def close(self) -> int:
         """Atomic publish; returns committed row count."""
         if self._closed:
-            return self.stats.committed
+            return self.committed
         self._fh.close()
         publish(self.tmp, self.path)
         write_atomic(self.path + ".meta.json",
-                     json.dumps({"rows": self.stats.committed}))
+                     json.dumps({"rows": self.committed}))
         self._closed = True
-        assert self.stats.check_invariant()
-        return self.stats.committed
+        return self.committed
 
 
 def sink_path_for(out_dir: str, input_path: str) -> str:

@@ -3,8 +3,7 @@
 Called on one storage-exchange bucket per Ray task (stages/exchange.py
 ApplyBucket). Each call receives every event routed to its shards
 (shard = partition × salt) for the current commit, as zero-copy views of
-the bucket's Arrow IPC fragment batches, with each shard's event count,
-and:
+the bucket's Arrow IPC fragment batches, counts each shard's events, and:
 
   1. writes the quarantine rows (shard −1), never collapsed and in
      sequence_number order, to ``_quarantine/<commit>.parquet`` keeping
@@ -43,7 +42,6 @@ STATS_SCHEMA = pa.schema(
     [
         pa.field("shard", pa.int64()),
         pa.field("part", pa.int64()),
-        pa.field("salt", pa.int64()),
         pa.field("rows_in", pa.int64()),
         pa.field("rows_out", pa.int64()),
         pa.field("deletes", pa.int64()),
@@ -70,18 +68,21 @@ class ApplyShards:
         self.commit_id = commit_id
         self.config = config
 
-    def __call__(self, block: pa.Table, rows_in: dict) -> pa.Table:
-        """Write ``block``'s quarantine file and per-shard deltas.
-        ``rows_in`` maps each shard to its event count before any
-        pre-collapse, the lineage and failure-ratio denominator."""
+    def __call__(self, block: pa.Table) -> pa.Table:
+        """Write ``block``'s quarantine file and per-shard deltas; each
+        stats row's ``rows_in`` counts every event of its shard (the
+        lineage and failure-ratio denominator), ``rows_out`` the rows
+        written."""
         if len(block) == 0:
             return STATS_SCHEMA.empty_table()
         outs = []
+        vc = pc.value_counts(block["__shard"])
+        rows_in = dict(zip(vc.field("values").to_pylist(),
+                           vc.field("counts").to_pylist()))
         shards = block["__shard"].to_numpy()
         is_q = shards == QUARANTINE_SHARD
         if is_q.any():
-            outs.append(self._write_quarantine(
-                block.filter(pa.array(is_q)), rows_in[QUARANTINE_SHARD]))
+            outs.append(self._write_quarantine(block.filter(pa.array(is_q))))
             block, shards = block.filter(pa.array(~is_q)), shards[~is_q]
         if len(block):
             # winners of every shard in one key-only sort and ONE take of
@@ -101,8 +102,7 @@ class ApplyShards:
                     shard, rows_in[shard], winners.slice(int(s), int(e - s))))
         return pa.concat_tables(outs)
 
-    def _write_quarantine(self, quarantine: pa.Table,
-                          rows_in: int) -> pa.Table:
+    def _write_quarantine(self, quarantine: pa.Table) -> pa.Table:
         t0 = time.monotonic()
         rel = os.path.join("_quarantine", f"{self.commit_id}.parquet")
         seq = quarantine["sequence_number"].to_numpy()
@@ -111,8 +111,8 @@ class ApplyShards:
         write_file(out, os.path.join(self.lake_dir, rel))
         return pa.table(
             {
-                "shard": [QUARANTINE_SHARD], "part": [-1], "salt": [0],
-                "rows_in": [rows_in], "rows_out": [len(out)],
+                "shard": [QUARANTINE_SHARD], "part": [-1],
+                "rows_in": [len(out)], "rows_out": [len(out)],
                 "deletes": [0], "max_seq": [-1], "file": [rel],
                 "wall_sec": [time.monotonic() - t0],
             },
@@ -134,7 +134,7 @@ class ApplyShards:
         write_file(delta, os.path.join(self.lake_dir, rel))
         return pa.table(
             {
-                "shard": [shard], "part": [part], "salt": [salt],
+                "shard": [shard], "part": [part],
                 "rows_in": [rows_in], "rows_out": [len(delta)],
                 "deletes": [deletes], "max_seq": [max_seq], "file": [rel],
                 "wall_sec": [time.monotonic() - t0],

@@ -26,11 +26,11 @@ lake on the shared filesystem / object store).
     than it saved.
   Stage 2 (per bucket): each bucket memory-maps exactly its record
     batches (zero-copy views, so a task's memory follows its bucket, not
-    the commit) and runs the per-shard LWW apply (ApplyShards),
-    pre-collapsing accumulated chunks per (__shard, doc_id) whenever they
-    exceed ``APPLY_CHUNK_ROWS`` so a backlog bucket never materializes
-    unbounded (max-by-seq is associative). Both collapses run the one LWW
-    kernel of ``stages/merge.py``.
+    the commit), concatenates them without copying and makes one
+    ApplyShards call: per-shard event counts, the LWW winners of the
+    shared kernel (``stages/merge.py``) and the delta writes. A bucket
+    holds about ``max_bytes_per_commit / n_buckets`` of events, which
+    bounds a task's memory.
 
 Both stages are plain ``ray.remote`` tasks (``util.map_descriptors``, at
 most two per cluster CPU, each looping over a contiguous slice of
@@ -52,7 +52,6 @@ from typing import List
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from etl_ray.config import QUARANTINE_SHARD, EngineConfig
@@ -60,17 +59,10 @@ from etl_ray.stages.validate import Validator
 
 EXCHANGE_DIR = "_exchange"
 
-# stage-2 pre-collapse bound: a bucket's accumulated chunks are
-# LWW-collapsed per (__shard, doc_id) past this many rows, so peak memory
-# is the collapsed state + one chunk even for a backlog bucket.
-# ApplyBucket reads it on the driver, so a lowered value reaches the tasks.
-APPLY_CHUNK_ROWS = 1 << 21
-
 FRAG_STATS_SCHEMA = pa.schema(
     [
         pa.field("bucket", pa.int64()),
         pa.field("rows", pa.int64()),
-        pa.field("quarantined", pa.int64()),
         pa.field("file", pa.string()),
         pa.field("row_group", pa.int64()),
     ]
@@ -144,8 +136,6 @@ class FragmentWriter:
                     w.write_batch(rb.slice(int(s), n))
                     out["bucket"].append(b)
                     out["rows"].append(n)
-                    out["quarantined"].append(n if b == self.n_buckets
-                                              else 0)
                     out["row_group"].append(i)
                     out["file"].append(rel)
         os.replace(path + ".tmp", path)
@@ -263,55 +253,31 @@ def bucket_descriptors(frag_stats, n_buckets: int) -> List[dict]:
 
 
 class ApplyBucket:
-    """Stage 2: read one bucket's record batches as written, apply per
-    shard (LWW delta write / quarantine write via ApplyShards). Accumulated
-    chunks are pre-collapsed per (__shard, doc_id) at ``APPLY_CHUNK_ROWS``
-    so peak memory is bounded by the collapsed state + one chunk, not by
-    the bucket's total backlog; each shard's event count is taken before
-    that collapse and handed to ApplyShards as its ``rows_in``."""
+    """Stage 2: read one bucket's record batches as written and apply them
+    per shard in one ApplyShards call (LWW delta write / quarantine
+    write)."""
 
     def __init__(self, lake_dir: str, commit_id: str, config: EngineConfig,
-                 exchange_dir: str, n_buckets: int):
+                 exchange_dir: str):
         from etl_ray.stages.apply import ApplyShards
 
         self.inner = ApplyShards(lake_dir, commit_id, config)
         self.exchange_dir = exchange_dir
-        self.chunk_rows = APPLY_CHUNK_ROWS
-        self.n_buckets = n_buckets
 
-    def _bucket_table(self, row: dict):
-        from etl_ray.stages.merge import lww_last_per_keys
-
-        # the quarantine bucket keeps EVERY poison event (never collapsed)
-        collapsible = int(row["bucket"]) != self.n_buckets
-        acc: List[pa.Table] = []
-        acc_rows = 0
-        # TRUE pre-collapse event count per shard: the pre-collapse below
-        # drops duplicate (shard, doc) rows, and lineage, the failure
-        # ratio and hot-partition salting must count every event
-        true_counts: dict = {}
+    def _bucket_table(self, row: dict) -> pa.Table:
+        batches = []
         for f, rg in zip(row["files"], row["rgs"]):
             # the bucket's record batch is a zero-copy view of the mapped
             # file (no decode); it keeps the mapping alive past the close
             with pa.memory_map(os.path.join(self.exchange_dir, f)) as mm:
-                t = pa.Table.from_batches(
-                    [pa.ipc.open_file(mm).get_batch(rg)])
-            for vc in pc.value_counts(t["__shard"]).to_pylist():
-                true_counts[vc["values"]] = (
-                    true_counts.get(vc["values"], 0) + vc["counts"])
-            acc.append(t)
-            acc_rows += len(t)
-            if collapsible and acc_rows > self.chunk_rows and len(acc) > 1:
-                merged = pa.concat_tables(acc, promote_options="default")
-                merged = lww_last_per_keys(merged, ["__shard", "doc_id"])
-                acc = [merged]
-                acc_rows = len(merged)
-        return pa.concat_tables(acc, promote_options="default"), true_counts
+                batches.append(pa.Table.from_batches(
+                    [pa.ipc.open_file(mm).get_batch(rg)]))
+        return pa.concat_tables(batches, promote_options="default")
 
     def __call__(self, desc: pa.Table) -> pa.Table:
         from etl_ray.stages.apply import STATS_SCHEMA
 
-        outs = [self.inner(*self._bucket_table(row))
+        outs = [self.inner(self._bucket_table(row))
                 for row in desc.to_pylist()]
         if not outs:
             return STATS_SCHEMA.empty_table()

@@ -43,10 +43,9 @@ def lww_last_per_keys(table: pa.Table, key_cols: list) -> pa.Table:
     """Keep, per composite key, the row with the largest sequence_number,
     in key order (per doc_id: the on-disk order of lake files).
 
-    Merges call it on ``["doc_id"]``; stage 2 pre-collapses accumulated
-    exchange chunks on ``["__shard", "doc_id"]``: max-by-seq is
-    associative, so collapsing partial runs then collapsing the
-    concatenation of the partials equals one global collapse."""
+    ``merge_runs`` calls it on ``["doc_id"]``. Max-by-seq is associative,
+    so collapsing partial runs then collapsing the concatenation of the
+    partials equals one global collapse."""
     if len(table) == 0:
         return table
     winners = lww_winner_indices(table, key_cols)

@@ -1,4 +1,4 @@
-"""Row-accounting counters with the reference's invariant.
+"""Commit lineage counters and mergeable histograms.
 
 The reference tracks per-buffer stats {Buffered, Pending, Committed, Failed}
 with the invariant Accepted == Failed + Committed + Buffered
@@ -14,29 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-
-@dataclass
-class RowStats:
-    accepted: int = 0
-    committed: int = 0
-    failed: int = 0
-    buffered: int = 0
-
-    def accept(self, n: int) -> None:
-        self.accepted += n
-        self.buffered += n
-
-    def commit(self, n: int) -> None:
-        self.committed += n
-        self.buffered -= n
-
-    def fail(self, n: int) -> None:
-        self.failed += n
-        self.buffered -= n
-
-    def check_invariant(self) -> bool:
-        return self.accepted == self.failed + self.committed + self.buffered
 
 
 @dataclass

@@ -102,3 +102,23 @@ def test_ivm_multi_step_refresh(tmp_path):
     onego = build_view(lake, SPEC)                        # full recompute
     pd.testing.assert_frame_equal(_norm(stepped), _norm(onego))
     assert read_view(lake, SPEC) is not None
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_ivm_view_built_on_empty_lake_refreshes(tmp_path):
+    """A view built before the first commit advances like any other: the
+    empty version-0 lake's default partition count does not block the
+    diff to the first commit's count."""
+    wal = str(tmp_path / "wal")
+    lake = str(tmp_path / "lake")
+    os.makedirs(lake)
+    paths = generate_changelog(wal, n_events=400, n_segments=2, seed=41,
+                               vocab=VOCAB)
+    cfg = EngineConfig(num_partitions=4,
+                       payload=TokensPayload(vocab_size=VOCAB))
+    assert len(build_view(lake, SPEC)) == 0                # version 0
+    for _ in range(2):                                     # versions 1, 2
+        replay(wal, lake, cfg, segments_per_commit=1, max_commits=1)
+        stepped = refresh_view(lake, SPEC)
+    pd.testing.assert_frame_equal(
+        _norm(stepped), _expected(oracle_replay(paths, vocab=VOCAB)))

@@ -62,11 +62,11 @@ def _synthetic_stats(commit_id: str, rows_in: list,
                      quarantined: int) -> pa.Table:
     """Stats of one commit: ``rows_in[k]`` events into partition k, and
     ``quarantined`` events into one quarantine file."""
-    out = [{"shard": k, "part": k, "salt": 0, "rows_in": r, "rows_out": r,
+    out = [{"shard": k, "part": k, "rows_in": r, "rows_out": r,
             "deletes": r // 25, "max_seq": 10_000 + k,
             "file": f"part={k}/delta-{commit_id}-p{k}-s0.parquet",
             "wall_sec": 0.0123 * (k + 1)} for k, r in enumerate(rows_in)]
-    out.append({"shard": -1, "part": -1, "salt": 0, "rows_in": quarantined,
+    out.append({"shard": -1, "part": -1, "rows_in": quarantined,
                 "rows_out": quarantined, "deletes": 0, "max_seq": -1,
                 "file": f"_quarantine/q-{commit_id}.parquet",
                 "wall_sec": 0.001})

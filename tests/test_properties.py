@@ -1,5 +1,5 @@
 """Property-based tests (hypothesis): the LWW merge kernel against a
-brute-force dict replay, schema promotion laws, stats invariant."""
+brute-force dict replay, schema promotion laws."""
 
 import numpy as np
 import pyarrow as pa
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from etl_ray.schema import conform, promote_schema
 from etl_ray.stages.merge import drop_tombstones, lww_last_per_keys, merge_runs
-from etl_ray.state.stats import RowStats
 
 doc_ids = st.text(alphabet="abcd", min_size=1, max_size=3)
 ops = st.sampled_from(["insert", "update", "delete"])
@@ -105,18 +104,3 @@ def test_promote_schema_laws(fa, fb):
     # commutative up to column order
     q = promote_schema(b, a)
     assert {f.name: f.type for f in p} == {f.name: f.type for f in q}
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["accept", "commit", "fail"]),
-                          st.integers(1, 10)), max_size=30))
-def test_rowstats_invariant(steps):
-    s = RowStats()
-    for op, n in steps:
-        if op == "accept":
-            s.accept(n)
-        elif op == "commit" and s.buffered >= n:
-            s.commit(n)
-        elif op == "fail" and s.buffered >= n:
-            s.fail(n)
-    assert s.check_invariant()

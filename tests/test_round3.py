@@ -1,4 +1,4 @@
-"""Round-3 hardening: pre-collapse lineage counts, ShiftRule lossy-cast
+"""Round-3 hardening: dup-heavy lineage counts, ShiftRule lossy-cast
 guard, empty-batch/all-corrupt decoder schemas, IVF pruning, capped LSH
 embedding pairs."""
 
@@ -10,7 +10,6 @@ import pytest
 from etl_ray.config import EngineConfig, ShiftRule, TokensPayload
 from etl_ray.pipelines.replay import replay
 from etl_ray.sources.generator import generate_changelog
-from etl_ray.stages import exchange
 from etl_ray.state.manifest import Manifest
 
 VOCAB = 1000
@@ -24,16 +23,14 @@ def cfg(**kw):
     return EngineConfig(**kw)
 
 
-# --------------------------------------------- pre-collapse lineage counts
+# ---------------------------------------------- dup-heavy lineage counts
 @pytest.mark.usefixtures("ray_session")
-def test_events_in_counts_precollapse_rows(tmp_wal, tmp_lake, monkeypatch):
-    """A dup-heavy backlog forced through a tiny APPLY_CHUNK_ROWS
-    pre-collapse must still report the TRUE event count in lineage
-    (ADVICE r02: failure-ratio denominators and salt detection read it)."""
+def test_events_in_counts_precollapse_rows(tmp_wal, tmp_lake):
+    """A dup-heavy backlog, whose winners are far fewer than its events,
+    must still report the TRUE event count in lineage (ADVICE r02:
+    failure-ratio denominators and salt detection read it)."""
     generate_changelog(tmp_wal, n_events=3000, n_segments=3, vocab=VOCAB,
                        seed=5, update_frac=0.8, insert_frac=0.1)
-    # force collapse on every bucket
-    monkeypatch.setattr(exchange, "APPLY_CHUNK_ROWS", 64)
     stats = replay(tmp_wal, tmp_lake, cfg())
     assert sum(s.events_in for s in stats) == 3000
     m = Manifest.load(tmp_lake)
@@ -41,13 +38,12 @@ def test_events_in_counts_precollapse_rows(tmp_wal, tmp_lake, monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_precollapse_does_not_trip_failure_gate(tmp_wal, tmp_lake,
-                                                monkeypatch):
-    """With the pre-collapse denominator bug, a dup-heavy clean backlog
-    could abort spuriously; the true denominator never can."""
+def test_precollapse_does_not_trip_failure_gate(tmp_wal, tmp_lake):
+    """Counting winners instead of events as the failure-ratio denominator
+    could abort a dup-heavy clean backlog spuriously; the true denominator
+    never can."""
     generate_changelog(tmp_wal, n_events=3000, n_segments=1, vocab=VOCAB,
                        seed=5, update_frac=0.8, insert_frac=0.1)
-    monkeypatch.setattr(exchange, "APPLY_CHUNK_ROWS", 64)
     c = cfg(max_failure_ratio=0.05)
     replay(tmp_wal, tmp_lake, c)  # must not raise CommitAborted
 
